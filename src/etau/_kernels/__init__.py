@@ -3,8 +3,8 @@
 The compiled backend is used when its extension module built; setting
 the environment variable ``ETAU_PURE_PYTHON`` (to anything nonempty)
 before import forces the numpy reference implementation.  Both expose
-the same ``area_and_grad`` contract and are held to byte-level
-agreement by the test suite.
+the same ``area_and_grad`` contract; the test suite holds them to
+agreement within a relative 1e-13 on areas and 1e-10 on gradients.
 """
 
 from __future__ import annotations

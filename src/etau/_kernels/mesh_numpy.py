@@ -32,6 +32,18 @@ def area_and_grad(
     """
     v = np.asarray(vertices, dtype=np.float64)
     tri = np.asarray(triangles)
+    tri_areas, degenerate, terms = _triangle_terms(tau, v, tri, want_grad)
+    grad = None if terms is None else _scatter(len(v), tri, *terms)
+    return tri_areas, degenerate.astype(np.uint8), grad
+
+
+def _triangle_terms(tau: float, v: np.ndarray, tri: np.ndarray, want_grad: bool):
+    """Areas, degeneracy flags and, when asked, per-triangle gradient terms.
+
+    The terms are ``(edge1, edge2, pos_x, pos_y)``: the derivative of the
+    triangle's area along its two edge vectors, and a third of its
+    derivative along the barycenter's base coordinates.
+    """
     p0 = v[tri[:, 0]]
     p1 = v[tri[:, 1]]
     p2 = v[tri[:, 2]]
@@ -69,7 +81,7 @@ def area_and_grad(
     tri_areas = np.where(degenerate, 0.0, 0.5 * np.sqrt(det_safe))
 
     if not want_grad:
-        return tri_areas, degenerate.astype(np.uint8), None
+        return tri_areas, degenerate, None
 
     factor = np.where(degenerate, 0.0, 0.25 / np.sqrt(det_safe))
     dd_e1 = 2.0 * q22[:, None] * ge1 - 2.0 * q12[:, None] * ge2
@@ -108,15 +120,38 @@ def area_and_grad(
     dd_x = position_term(dlam_dx, da_dx, db_dx)
     dd_y = position_term(dlam_dy, da_dy, db_dy)
 
-    grad = np.zeros_like(v)
     edge1 = factor[:, None] * dd_e1
     edge2 = factor[:, None] * dd_e2
-    np.add.at(grad, tri[:, 1], edge1)
-    np.add.at(grad, tri[:, 2], edge2)
-    np.add.at(grad, tri[:, 0], -(edge1 + edge2))
-    pos = np.zeros((len(tri), 3))
-    pos[:, 0] = factor * dd_x / 3.0
-    pos[:, 1] = factor * dd_y / 3.0
-    for k in range(3):
-        np.add.at(grad, tri[:, k], pos)
-    return tri_areas, degenerate.astype(np.uint8), grad
+    return tri_areas, degenerate, (edge1, edge2, factor * dd_x / 3.0, factor * dd_y / 3.0)
+
+
+def _scatter(
+    n: int,
+    tri: np.ndarray,
+    edge1: np.ndarray,
+    edge2: np.ndarray,
+    pos_x: np.ndarray,
+    pos_y: np.ndarray,
+) -> np.ndarray:
+    """Sum the per-triangle gradient terms onto the ``n`` vertices.
+
+    Vertex ``tri[:, 1]`` receives ``edge1``, ``tri[:, 2]`` receives
+    ``edge2``, ``tri[:, 0]`` receives ``-(edge1 + edge2)``, and all three
+    receive the position term.  One ``bincount`` per component adds the
+    terms in that order, starting from zero, so each vertex sums the same
+    values in the same sequence as six successive ``np.add.at`` calls.
+    """
+    m = len(tri)
+    idx = np.concatenate(
+        [tri[:, 1], tri[:, 2], tri[:, 0], tri[:, 0], tri[:, 1], tri[:, 2]]
+    )
+    edge0 = -(edge1 + edge2)
+    grad = np.empty((n, 3))
+    for k, pos in ((0, pos_x), (1, pos_y)):
+        w = np.concatenate([edge1[:, k], edge2[:, k], edge0[:, k], pos, pos, pos])
+        grad[:, k] = np.bincount(idx, w, n)
+    # the fiber column has no position term; skipping its three +0.0 terms
+    # changes nothing, since a sum that starts from +0.0 is never -0.0
+    w = np.concatenate([edge1[:, 2], edge2[:, 2], edge0[:, 2]])
+    grad[:, 2] = np.bincount(idx[: 3 * m], w, n)
+    return grad

@@ -102,28 +102,37 @@ class TriMesh:
             raise DomainError(
                 "vertices must satisfy x^2 + y^2 < 1 - 1e-9 (model boundary barrier)"
             )
-        directed: set[tuple[int, int]] = set()
-        undirected: dict[tuple[int, int], int] = {}
-        for a, b, c in t:
-            for e in ((int(a), int(b)), (int(b), int(c)), (int(c), int(a))):
-                if e[0] == e[1]:
-                    raise DomainError(f"degenerate edge {e!r} in triangle")
-                if e in directed:
-                    raise DomainError(
-                        f"directed edge {e!r} repeats: inconsistent orientation "
-                        "or non-manifold mesh"
-                    )
-                directed.add(e)
-                key = (min(e), max(e))
-                undirected[key] = undirected.get(key, 0) + 1
-        if any(c > 2 for c in undirected.values()):
-            raise DomainError("an edge belongs to more than two triangles")
-        self._boundary_edges = frozenset(k for k, c in undirected.items() if c == 1)
+        n = len(v)
+        # the edges of triangle (a, b, c) run a->b, b->c, c->a
+        src = t.ravel()
+        dst = t[:, [1, 2, 0]].ravel()
+        bad = np.flatnonzero(src == dst)
+        if bad.size:
+            e = (int(src[bad[0]]), int(dst[bad[0]]))
+            raise DomainError(f"degenerate edge {e!r} in triangle")
+        # integer keys lo * n + hi name the undirected edges
+        keys, counts = np.unique(
+            np.minimum(src, dst) * n + np.maximum(src, dst), return_counts=True
+        )
+        over = np.flatnonzero(counts > 2)
+        if over.size:
+            e = divmod(int(keys[over[0]]), n)
+            raise DomainError(f"edge {e!r} belongs to more than two triangles")
+        directed, repeats = np.unique(src * n + dst, return_counts=True)
+        rep = np.flatnonzero(repeats > 1)
+        if rep.size:
+            e = divmod(int(directed[rep[0]]), n)
+            raise DomainError(
+                f"directed edge {e!r} repeats: inconsistent orientation "
+                "or duplicate triangle"
+            )
+        lo, hi = np.divmod(keys[counts == 1], n)
+        self._boundary_edges = frozenset(zip(lo.tolist(), hi.tolist()))
+        self._n_edges = len(keys)
         if boundary_mask is None:
-            mask = np.zeros(len(v), dtype=bool)
-            for a, b in self._boundary_edges:
-                mask[a] = True
-                mask[b] = True
+            mask = np.zeros(n, dtype=bool)
+            mask[lo] = True
+            mask[hi] = True
         else:
             mask = np.asarray(boundary_mask, dtype=bool)
             if mask.shape != (len(v),):
@@ -139,17 +148,7 @@ class TriMesh:
         return self._boundary_edges
 
     def euler_characteristic(self) -> int:
-        n_e = sum(1 for _ in self._iter_undirected())
-        return len(self.vertices) - n_e + len(self.triangles)
-
-    def _iter_undirected(self):
-        seen = set()
-        for a, b, c in self.triangles:
-            for e in ((a, b), (b, c), (c, a)):
-                key = (int(min(e)), int(max(e)))
-                if key not in seen:
-                    seen.add(key)
-                    yield key
+        return len(self.vertices) - self._n_edges + len(self.triangles)
 
     def as_cylinder_points(self) -> list[CylinderPoint]:
         return [CylinderPoint(float(x), float(y), float(t)) for x, y, t in self.vertices]
@@ -217,7 +216,9 @@ def minimize(
 
     A trial step is rejected (and shortened) when it fails the Armijo
     decrease, moves an interior vertex past the disk barrier, or newly
-    degenerates a triangle.  The input mesh is left untouched.
+    degenerates a triangle.  Trial steps are evaluated area-only; the
+    gradient is computed once at the start and once per accepted step.
+    The input mesh is left untouched.
     """
     cfg = config or SolverConfig()
     if not mesh.boundary_mask.any():
@@ -252,7 +253,7 @@ def minimize(
             if not (r2 < 1.0 - DISK_BARRIER).all():
                 step *= cfg.line_search_shrink
                 continue
-            c_areas, c_degen, c_grad = _kernels.area_and_grad(tau, cand, tri, True)
+            c_areas, c_degen, _ = _kernels.area_and_grad(tau, cand, tri, False)
             if int(np.sum(c_degen)) > base_degen:
                 step *= cfg.line_search_shrink
                 continue
@@ -260,7 +261,8 @@ def minimize(
             if c_area <= area - cfg.armijo * step * gnorm * gnorm:
                 v = cand
                 area = c_area
-                grad = np.asarray(c_grad)
+                _, _, grad = _kernels.area_and_grad(tau, v, tri, True)
+                grad = np.asarray(grad)
                 grad[fixed] = 0.0
                 gnorm = float(np.linalg.norm(grad))
                 history.append(area)
@@ -418,17 +420,20 @@ def mesh_disk(boundary, n_r: int, ring_fractions: np.ndarray | None = None) -> T
     for f in fractions:
         verts.extend(center + f * (loop - center))
     vertices = np.vstack(verts)
-    tris = []
-    for i in range(n):
-        tris.append((0, 1 + i, 1 + (i + 1) % n))
-    for j in range(1, n_r):
-        base_in = 1 + (j - 1) * n
-        base_out = 1 + j * n
-        for i in range(n):
-            i2 = (i + 1) % n
-            tris.append((base_in + i, base_out + i, base_out + i2))
-            tris.append((base_in + i, base_out + i2, base_in + i2))
-    return TriMesh(vertices, np.array(tris, dtype=np.int64))
+    i = np.arange(n, dtype=np.int64)
+    i2 = (i + 1) % n
+    fan = np.column_stack([np.zeros_like(i), 1 + i, 1 + i2])
+    # band k joins ring k + 1 to ring k + 2, two triangles per loop sample
+    base_in = 1 + n * np.arange(n_r - 1, dtype=np.int64)[:, None]
+    base_out = base_in + n
+    bands = np.stack(
+        [
+            np.stack([base_in + i, base_out + i, base_out + i2], axis=-1),
+            np.stack([base_in + i, base_out + i2, base_in + i2], axis=-1),
+        ],
+        axis=2,
+    )
+    return TriMesh(vertices, np.vstack([fan, bands.reshape(-1, 3)]))
 
 
 def mesh_from_grid(grid: np.ndarray, closed_u: bool = True) -> TriMesh:
@@ -444,17 +449,14 @@ def mesh_from_grid(grid: np.ndarray, closed_u: bool = True) -> TriMesh:
         raise UsageError("only column-periodic grids are supported")
     n_rows, n_cols, _ = g.shape
     vertices = g.reshape(-1, 3)
-    tris = []
-    for r in range(n_rows - 1):
-        for c in range(n_cols):
-            c2 = (c + 1) % n_cols
-            a = r * n_cols + c
-            b = r * n_cols + c2
-            d = (r + 1) * n_cols + c
-            e = (r + 1) * n_cols + c2
-            tris.append((a, e, b))
-            tris.append((a, d, e))
-    return TriMesh(vertices, np.array(tris, dtype=np.int64))
+    row = n_cols * np.arange(n_rows - 1, dtype=np.int64)[:, None]
+    col = np.arange(n_cols, dtype=np.int64)
+    a = row + col
+    b = row + (col + 1) % n_cols
+    d = a + n_cols
+    e = b + n_cols
+    tris = np.stack([np.stack([a, e, b], axis=-1), np.stack([a, d, e], axis=-1)], axis=2)
+    return TriMesh(vertices, tris.reshape(-1, 3))
 
 
 def mesh_annulus(c1, c2, n_v: int) -> TriMesh:

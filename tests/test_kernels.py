@@ -7,6 +7,8 @@ import pytest
 
 from etau import _kernels
 from etau import plateau
+from etau._kernels import mesh_numpy
+from etau.models import AmbientSpace
 
 
 def sample_meshes():
@@ -45,6 +47,51 @@ def test_backends_agree():
             np.testing.assert_allclose(a_cy, a_ref, rtol=1e-13, atol=1e-15)
             assert (np.asarray(d_cy) == np.asarray(d_ref)).all()
             np.testing.assert_allclose(g_cy, g_ref, rtol=1e-10, atol=1e-12)
+
+
+def add_at_gradient(tau, vertices, triangles):
+    """The numpy kernel's gradient, scattered by six successive np.add.at calls."""
+    _, _, (edge1, edge2, pos_x, pos_y) = mesh_numpy._triangle_terms(
+        tau, vertices, triangles, True
+    )
+    grad = np.zeros_like(vertices)
+    np.add.at(grad, triangles[:, 1], edge1)
+    np.add.at(grad, triangles[:, 2], edge2)
+    np.add.at(grad, triangles[:, 0], -(edge1 + edge2))
+    pos = np.zeros((len(triangles), 3))
+    pos[:, 0] = pos_x
+    pos[:, 1] = pos_y
+    for k in range(3):
+        np.add.at(grad, triangles[:, k], pos)
+    return grad
+
+
+def test_numpy_scatter_matches_add_at_exactly():
+    for mesh in sample_meshes():
+        for tau in (0.0, 0.3, 1.0):
+            _, _, grad = mesh_numpy.area_and_grad(tau, mesh.vertices, mesh.triangles, True)
+            np.testing.assert_array_equal(
+                grad, add_at_gradient(tau, mesh.vertices, mesh.triangles)
+            )
+
+
+def test_minimize_computes_gradient_only_at_accepted_steps(monkeypatch):
+    calls = {True: 0, False: 0}
+    kernel = _kernels.area_and_grad
+
+    def counting(tau, vertices, triangles, want_grad=True):
+        calls[bool(want_grad)] += 1
+        return kernel(tau, vertices, triangles, want_grad)
+
+    monkeypatch.setattr(_kernels, "area_and_grad", counting)
+    mesh = sample_meshes()[1]
+    _, rep = plateau.minimize(
+        AmbientSpace(0.3), mesh, plateau.SolverConfig(max_iterations=30)
+    )
+    assert len(rep.area_history) > 1
+    # once at the start, then once per accepted step
+    assert calls[True] == len(rep.area_history)
+    assert calls[False] >= len(rep.area_history) - 1
 
 
 def test_want_grad_false_skips_gradient():

@@ -27,6 +27,46 @@ def wobbled_disk(n_theta=16, n_r=3, seed=3, amplitude=0.02):
     return mesh
 
 
+def edge_triangle_counts(mesh):
+    """Undirected edge -> number of triangles, by a loop over the triangles."""
+    counts = {}
+    for a, b, c in mesh.triangles.tolist():
+        for e in ((a, b), (b, c), (c, a)):
+            key = (min(e), max(e))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def disk_triangles_by_loop(n, n_r):
+    """Triangle list of mesh_disk(loop of n samples, n_r), built one by one."""
+    tris = []
+    for i in range(n):
+        tris.append((0, 1 + i, 1 + (i + 1) % n))
+    for j in range(1, n_r):
+        base_in = 1 + (j - 1) * n
+        base_out = 1 + j * n
+        for i in range(n):
+            i2 = (i + 1) % n
+            tris.append((base_in + i, base_out + i, base_out + i2))
+            tris.append((base_in + i, base_out + i2, base_in + i2))
+    return np.array(tris, dtype=np.int64)
+
+
+def grid_triangles_by_loop(n_rows, n_cols):
+    """Triangle list of mesh_from_grid on an (n_rows, n_cols) grid, one by one."""
+    tris = []
+    for r in range(n_rows - 1):
+        for c in range(n_cols):
+            c2 = (c + 1) % n_cols
+            a = r * n_cols + c
+            b = r * n_cols + c2
+            d = (r + 1) * n_cols + c
+            e = (r + 1) * n_cols + c2
+            tris.append((a, e, b))
+            tris.append((a, d, e))
+    return np.array(tris, dtype=np.int64)
+
+
 def test_trimesh_validation():
     with pytest.raises(DomainError):
         plateau.TriMesh(np.zeros((4, 2)), np.array([[0, 1, 2]]))
@@ -38,11 +78,13 @@ def test_trimesh_validation():
     with pytest.raises(DomainError):
         plateau.TriMesh(far, np.array([[0, 1, 2]]))
     v = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.1, 0.1, 0.0]])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"directed edge \(1, 2\) repeats"):
         # both triangles run the shared edge the same way
         plateau.TriMesh(v, np.array([[0, 1, 2], [1, 2, 3]]))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"degenerate edge \(1, 1\)"):
         plateau.TriMesh(v, np.array([[0, 1, 1]]))
+    with pytest.raises(DomainError, match=r"edge \(0, 1\) belongs to more than two"):
+        plateau.TriMesh(v, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 3]]))
     mask = np.zeros(5, dtype=bool)
     with pytest.raises(DomainError):
         plateau.TriMesh(v, np.array([[0, 1, 2]]), mask)
@@ -62,6 +104,29 @@ def test_boundary_detection_and_euler():
     )
     assert ann.euler_characteristic() == 0
     assert ann.boundary_mask.sum() == 24
+
+
+def test_boundary_matches_edge_count_reference():
+    disk = plateau.mesh_disk(plateau.circle_loop(0.5, 0.0, 12), 3)
+    meshes = [
+        disk,
+        plateau.mesh_annulus(
+            plateau.circle_loop(0.5, -1.0, 12), plateau.circle_loop(0.5, 1.0, 12), 5
+        ),
+        plateau._two_disk_mesh(0.6, 1.0, 4, 16),
+        plateau.subdivide(disk, plateau.circle_projector(0.5, 0.0)),
+    ]
+    for mesh in meshes:
+        counts = edge_triangle_counts(mesh)
+        edges = {e for e, c in counts.items() if c == 1}
+        mask = np.zeros(len(mesh.vertices), dtype=bool)
+        for a, b in edges:
+            mask[a] = mask[b] = True
+        assert mesh.boundary_edges() == frozenset(edges)
+        np.testing.assert_array_equal(mesh.boundary_mask, mask)
+        assert mesh.euler_characteristic() == (
+            len(mesh.vertices) - len(counts) + len(mesh.triangles)
+        )
 
 
 def test_gradient_matches_finite_differences():
@@ -126,7 +191,7 @@ def test_solver_config_validation():
 def test_subdivide_counts_and_projection():
     mesh = plateau.mesh_disk(plateau.circle_loop(0.6, 0.2, 12), 2)
     n_v, n_t = len(mesh.vertices), len(mesh.triangles)
-    n_e = sum(1 for _ in mesh._iter_undirected())
+    n_e = len(edge_triangle_counts(mesh))
     fine = plateau.subdivide(mesh, plateau.circle_projector(0.6, 0.2))
     assert len(fine.triangles) == 4 * n_t
     assert len(fine.vertices) == n_v + n_e
@@ -152,6 +217,19 @@ def test_mesh_from_grid_layout():
     assert len(mesh.triangles) == 2 * 3 * 8
     assert mesh.boundary_mask.sum() == 16
     assert mesh.boundary_mask[:8].all() and mesh.boundary_mask[-8:].all()
+
+
+def test_mesh_triangles_match_loop_construction():
+    for n, n_r in ((3, 1), (12, 1), (12, 3), (160, 48)):
+        disk = plateau.mesh_disk(plateau.circle_loop(0.5, 0.0, n), n_r)
+        np.testing.assert_array_equal(disk.triangles, disk_triangles_by_loop(n, n_r))
+    for n_rows, n_cols in ((2, 3), (5, 12), (49, 160)):
+        annulus = plateau.mesh_annulus(
+            plateau.circle_loop(0.5, -1.0, n_cols), plateau.circle_loop(0.5, 1.0, n_cols), n_rows
+        )
+        np.testing.assert_array_equal(
+            annulus.triangles, grid_triangles_by_loop(n_rows, n_cols)
+        )
 
 
 def test_mesh_annulus_validation():
