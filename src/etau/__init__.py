@@ -9,7 +9,7 @@ area comparisons, barrier boundary curves, height classification of
 asymptotic curves, and a discrete fixed-boundary area minimizer.
 """
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, QuadratureError, UsageError
 from .models import (
     AmbientSpace,
     BoundaryPoint,

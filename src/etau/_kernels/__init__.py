@@ -1,43 +1,30 @@
-"""Mesh area/gradient kernels with compiled and reference backends.
+"""Mesh area/gradient kernel.
 
-The compiled backend is used when its extension module built; setting
-the environment variable ``ETAU_PURE_PYTHON`` (to anything nonempty)
-before import forces the numpy reference implementation.  Both expose
-the same ``area_and_grad`` contract; the test suite holds them to
-agreement within a relative 1e-13 on areas and 1e-10 on gradients.
+``area_and_grad`` is the numpy kernel of :mod:`.mesh_numpy`; the Plateau
+solver calls it through this module attribute, so a caller may wrap it
+(to count or time kernel calls) by replacing the attribute.
+
+``ACTIVE_BACKEND``, ``available_backends`` and ``get_backend`` name the
+single kernel for ``perfbench``, which records and times kernels by
+backend name.
 """
 
 from __future__ import annotations
-
-import os
 
 from . import mesh_numpy
 
 __all__ = ["area_and_grad", "ACTIVE_BACKEND", "available_backends", "get_backend"]
 
-_BACKENDS = {"numpy": mesh_numpy.area_and_grad}
-
-if not os.environ.get("ETAU_PURE_PYTHON"):
-    try:
-        from . import _mesh_cy
-
-        _BACKENDS["cython"] = _mesh_cy.area_and_grad
-    except ImportError:
-        pass
-
-ACTIVE_BACKEND = "cython" if "cython" in _BACKENDS else "numpy"
-area_and_grad = _BACKENDS[ACTIVE_BACKEND]
+ACTIVE_BACKEND = "numpy"
+area_and_grad = mesh_numpy.area_and_grad
 
 
 def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
+    return (ACTIVE_BACKEND,)
 
 
 def get_backend(name: str):
-    """Kernel function for an explicitly named backend (for tests/benchmarks)."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown backend {name!r}; available: {sorted(_BACKENDS)}"
-        ) from None
+    """Kernel function for a named backend; only ``"numpy"`` exists."""
+    if name != ACTIVE_BACKEND:
+        raise KeyError(f"unknown backend {name!r}; available: [{ACTIVE_BACKEND!r}]")
+    return mesh_numpy.area_and_grad

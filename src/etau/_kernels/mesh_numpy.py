@@ -1,6 +1,7 @@
-"""Vectorized reference kernel for discrete mesh area and its gradient.
+"""Vectorized numpy kernel for discrete mesh area and its gradient.
 
-The metric is evaluated once per triangle at the barycenter; the
+The metric is evaluated once per triangle at the barycenter, from the
+conformal factor and fiber form of :func:`etau.models.fiber_form`; the
 triangle contributes ``sqrt(det Gram) / 2`` where the Gram matrix pairs
 the two edge vectors from vertex 0.  The gradient combines the edge
 terms with the metric's dependence on the barycenter position (one
@@ -14,6 +15,8 @@ flagged degenerate and contribute zero area and zero gradient.
 from __future__ import annotations
 
 import numpy as np
+
+from ..models import fiber_form
 
 _DEGEN_REL = 1e-14
 
@@ -52,10 +55,8 @@ def _triangle_terms(tau: float, v: np.ndarray, tri: np.ndarray, want_grad: bool)
     cx = (p0[:, 0] + p1[:, 0] + p2[:, 0]) / 3.0
     cy = (p0[:, 1] + p1[:, 1] + p2[:, 1]) / 3.0
 
-    lam = 2.0 / (1.0 - cx * cx - cy * cy)
+    lam, a, b = fiber_form(tau, cx, cy)
     lam2 = lam * lam
-    a = 2.0 * tau * lam * cy
-    b = -2.0 * tau * lam * cx
     g11 = lam2 + a * a
     g12 = a * b
     g13 = a

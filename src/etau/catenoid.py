@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .models import AmbientSpace, CylinderPoint
 from .numerics import (
+    QuadratureResult,
     ToleranceConfig,
     bisect_monotone,
     integrate,
@@ -97,6 +98,16 @@ class TruncatedCatenoid:
         return profile_height(self.profile, self.R)
 
 
+def _converged_value(res: QuadratureResult, what: str) -> float:
+    """The value of a quadrature result; QuadratureError if it did not converge."""
+    if not res.converged:
+        raise QuadratureError(
+            f"{what}: quadrature stopped after {res.evaluations} evaluations "
+            f"with error estimate {res.error_estimate:.3g}"
+        )
+    return res.value
+
+
 def neck_radius(d: float) -> float:
     """Hyperbolic radius of the waist of the catenoid with parameter ``d``."""
     if not math.isfinite(d) or d <= 0.0:
@@ -154,7 +165,8 @@ def profile_height(
     if T == 0.0:
         return 0.0
     f = _height_integrand(profile.ambient.tau, d)
-    return integrate(f, 0.0, T, tol if tol is not None else profile.ambient.tol).value
+    res = integrate(f, 0.0, T, tol if tol is not None else profile.ambient.tol)
+    return _converged_value(res, "profile height")
 
 
 def product_profile_height(
@@ -187,9 +199,10 @@ def asymptotic_height(
         margin = 1.0 - 1.0 / ((1.0 + d * d) * c * c)
         return front / math.sqrt(margin) * 2.0 * math.exp(-T)
 
-    return integrate_to_infinity(
+    res = integrate_to_infinity(
         f, 0.0, tail, tol if tol is not None else profile.ambient.tol
-    ).value
+    )
+    return _converged_value(res, "asymptotic height")
 
 
 def asymptotic_height_supremum(amb: AmbientSpace) -> float:
@@ -275,7 +288,7 @@ def annulus_area(trunc: TruncatedCatenoid, tol: ToleranceConfig | None = None) -
         return sh * _fiber_factor(tau, math.asinh(sh))
 
     res = integrate(f, 0.0, T, tol if tol is not None else trunc.profile.ambient.tol)
-    return 4.0 * math.pi * res.value
+    return 4.0 * math.pi * _converged_value(res, "annulus area")
 
 
 def disk_area(amb: AmbientSpace, R: float, tol: ToleranceConfig | None = None) -> float:
@@ -292,7 +305,7 @@ def disk_area(amb: AmbientSpace, R: float, tol: ToleranceConfig | None = None) -
         return math.sinh(s) * math.sqrt((c + a) / (c + 1.0))
 
     res = integrate(f, 0.0, R, tol if tol is not None else amb.tol)
-    return 2.0 * math.pi * math.sqrt(1.0 + t2) * res.value
+    return 2.0 * math.pi * math.sqrt(1.0 + t2) * _converged_value(res, "disk area")
 
 
 def disk_area_closed_form(amb: AmbientSpace, R: float) -> float:

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _csvio, barriers, catenoid, curves, isometries, plateau
-from .errors import DomainError, UsageError
+from .errors import DomainError, QuadratureError, UsageError
 from .models import AmbientSpace, BoundaryPoint
 from .numerics import ToleranceConfig
 
@@ -418,7 +418,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(_merge_config(base))
         return args.func(args)
-    except (DomainError, UsageError, OSError) as exc:
+    except (DomainError, QuadratureError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,3 +7,7 @@ class DomainError(ValueError):
 
 class UsageError(ValueError):
     """Operation invoked with structurally invalid arguments."""
+
+
+class QuadratureError(ArithmeticError):
+    """Adaptive quadrature stopped before meeting its tolerance."""

@@ -140,24 +140,35 @@ class MetricTensor:
         return "MetricTensor(base=%r)" % (self.base,)
 
 
+def fiber_form(tau, x, y):
+    """Conformal factor and fiber 1-form coefficients at (x, y); array friendly.
+
+    Returns (lam, A, B) with lam = 2 / (1 - x^2 - y^2), A = 2 tau lam y and
+    B = -2 tau lam x: the cylinder metric is
+    lam^2 (dx^2 + dy^2) + omega (x) omega with omega = A dx + B dy + dt.
+    No domain check: callers keep (x, y) inside the open unit disk.
+    """
+    lam = 2.0 / (1.0 - x * x - y * y)
+    return lam, 2.0 * tau * lam * y, -2.0 * tau * lam * x
+
+
 def conformal_factor(x: float, y: float) -> float:
     """lam(x, y) = 2 / (1 - x^2 - y^2) on the open unit disk."""
-    denom = 1.0 - x * x - y * y
-    if denom <= 0:
+    try:
+        lam = fiber_form(0.0, float(x), float(y))[0]
+    except ZeroDivisionError:  # squared radius exactly 1
+        lam = -1.0
+    if not lam > 0.0:
         raise DomainError("conformal factor undefined at squared radius >= 1")
-    return 2.0 / denom
+    return lam
 
 
 def metric_cylinder_components(tau, x, y):
     """Raw cylinder-model metric components at (x, y); array friendly.
 
-    Returns (gxx, gyy, gtt, gxy, gxt, gyt).  The fiber 1-form is
-    omega = A dx + B dy + dt with A = 2 tau lam y, B = -2 tau lam x, so the
-    metric is lam^2 (dx^2 + dy^2) + omega (x) omega.
+    Returns (gxx, gyy, gtt, gxy, gxt, gyt), built from :func:`fiber_form`.
     """
-    lam = 2.0 / (1.0 - x * x - y * y)
-    a = 2.0 * tau * lam * y
-    b = -2.0 * tau * lam * x
+    lam, a, b = fiber_form(tau, x, y)
     lam2 = lam * lam
     gxx = lam2 + a * a
     gyy = lam2 + b * b

@@ -320,39 +320,34 @@ def subdivide(
     """
     v = mesh.vertices
     tri = mesh.triangles
-    boundary_edges = mesh.boundary_edges()
-    mid_index: dict[tuple[int, int], int] = {}
-    next_id = len(v)
-    extra_pts: list[np.ndarray] = []
-    extra_mask: list[bool] = []
-
-    def midpoint(a: int, b: int) -> int:
-        nonlocal next_id
-        key = (min(a, b), max(a, b))
-        if key in mid_index:
-            return mid_index[key]
-        p = 0.5 * (v[a] + v[b])
-        on_boundary = key in boundary_edges
-        if on_boundary and boundary_project is not None:
-            p = np.asarray(boundary_project(p), dtype=np.float64)
-        extra_pts.append(p)
-        extra_mask.append(on_boundary)
-        mid_index[key] = next_id
-        next_id += 1
-        return mid_index[key]
-
-    new_tris = []
-    for a, b, c in tri:
-        a, b, c = int(a), int(b), int(c)
-        mab = midpoint(a, b)
-        mbc = midpoint(b, c)
-        mca = midpoint(c, a)
-        new_tris.extend(
-            [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
-        )
-    all_v = np.vstack([v, np.array(extra_pts)]) if extra_pts else v.copy()
-    mask = np.concatenate([mesh.boundary_mask, np.array(extra_mask, dtype=bool)])
-    return TriMesh(all_v, np.array(new_tris, dtype=np.int64), mask)
+    n, m = len(v), len(tri)
+    # the edges of triangle (a, b, c) run a->b, b->c, c->a; midpoints are
+    # numbered in the order their edges are first met
+    src = tri.ravel()
+    dst = tri[:, [1, 2, 0]].ravel()
+    _, first, inverse, counts = np.unique(
+        np.minimum(src, dst) * n + np.maximum(src, dst),
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    first = first[order]
+    extra_pts = 0.5 * (v[src[first]] + v[dst[first]])
+    extra_mask = counts[order] == 1
+    if boundary_project is not None:
+        for k in np.flatnonzero(extra_mask):
+            extra_pts[k] = np.asarray(boundary_project(extra_pts[k]), dtype=np.float64)
+    mab, mbc, mca = (n + rank[inverse]).reshape(m, 3).T
+    a, b, c = tri.T
+    new_tris = np.stack(
+        [a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1
+    ).reshape(4 * m, 3)
+    all_v = np.vstack([v, extra_pts])
+    mask = np.concatenate([mesh.boundary_mask, extra_mask])
+    return TriMesh(all_v, new_tris, mask)
 
 
 def circle_loop(radius: float, t: float, n: int) -> np.ndarray:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from etau import catenoid as cat
-from etau.errors import DomainError
+from etau.errors import DomainError, QuadratureError
 from etau.models import AmbientSpace, CylinderPoint, patch_area
+from etau.numerics import ToleranceConfig
 
 # high-precision reference values, frozen from an independent multiprecision
 # quadrature of the defining integrals (40 digits, tanh-sinh rule)
@@ -269,3 +270,18 @@ def test_sample_annulus_rows():
     assert upper[0][0].t == 0.0  # neck row
     assert upper[-1][0].t == pytest.approx(cat.profile_height(trunc.profile, 2.5))
     assert lower[-1][0].t == pytest.approx(-upper[-1][0].t)
+
+
+
+def test_exhausted_quadrature_budget_raises():
+    # one Gauss-Kronrod panel (15 evaluations) cannot meet the default tolerance
+    amb = AmbientSpace(0.5, tol=ToleranceConfig(max_evals=15))
+    profile = cat.CatenoidProfile(amb, 2.0)
+    with pytest.raises(QuadratureError, match="profile height"):
+        cat.profile_height(profile, 2.5)
+    with pytest.raises(QuadratureError, match="asymptotic height"):
+        cat.asymptotic_height(profile)
+    with pytest.raises(QuadratureError, match="annulus area"):
+        cat.annulus_area(cat.TruncatedCatenoid(profile, 3.0))
+    with pytest.raises(QuadratureError, match="disk area"):
+        cat.disk_area(amb, 8.0)

@@ -30,6 +30,17 @@ def test_catenoid_height_inverse(capsys):
     assert f"d = {d!r}" in out
 
 
+def test_catenoid_height_reports_unconverged_quadrature(capsys):
+    # an absolute tolerance below double precision exhausts the budget
+    rc, out, err = run(
+        capsys, "catenoid-height", "--tau", "0.5", "--d", "2.0",
+        "--abs-tol", "1e-20", "--rel-tol", "1e-20",
+    )
+    assert rc == 2
+    assert out == ""
+    assert "asymptotic height: quadrature stopped" in err
+
+
 def test_lemmas_sweep(tmp_path, capsys):
     out_path = tmp_path / "lemmas.csv"
     rc, out, _ = run(

@@ -1,14 +1,10 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from etau import _kernels
 from etau import plateau
 from etau._kernels import mesh_numpy
-from etau.models import AmbientSpace
+from etau.models import AmbientSpace, CylinderPoint, metric_cylinder
 
 
 def sample_meshes():
@@ -29,24 +25,26 @@ def test_numpy_backend_always_available():
     assert _kernels.ACTIVE_BACKEND in _kernels.available_backends()
 
 
-def test_compiled_backend_preferred_when_built():
-    if "cython" not in _kernels.available_backends():
-        pytest.skip("compiled extension not built")
-    assert _kernels.ACTIVE_BACKEND == "cython"
-
-
-def test_backends_agree():
-    if "cython" not in _kernels.available_backends():
-        pytest.skip("compiled extension not built")
-    ref = _kernels.get_backend("numpy")
-    cy = _kernels.get_backend("cython")
-    for mesh in sample_meshes():
-        for tau in (0.0, 0.3, 1.0):
-            a_ref, d_ref, g_ref = ref(tau, mesh.vertices, mesh.triangles, True)
-            a_cy, d_cy, g_cy = cy(tau, mesh.vertices, mesh.triangles, True)
-            np.testing.assert_allclose(a_cy, a_ref, rtol=1e-13, atol=1e-15)
-            assert (np.asarray(d_cy) == np.asarray(d_ref)).all()
-            np.testing.assert_allclose(g_cy, g_ref, rtol=1e-10, atol=1e-12)
+def test_kernel_area_uses_the_model_metric():
+    # each triangle's area is sqrt(det(E^T G E)) / 2 with G the cylinder
+    # metric of etau.models at the barycenter and E its two edge vectors
+    rng = np.random.default_rng(11)
+    m = 50
+    radius = 0.9 * np.sqrt(rng.uniform(size=(m, 1)))
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=(m, 1))
+    center = np.hstack([radius * np.cos(angle), radius * np.sin(angle), rng.normal(size=(m, 1))])
+    vertices = (center[:, None, :] + 0.05 * rng.normal(size=(m, 3, 3))).reshape(3 * m, 3)
+    triangles = np.arange(3 * m).reshape(m, 3)
+    for tau in (0.0, 0.3, 1.0):
+        amb = AmbientSpace(tau)
+        areas, degen, _ = _kernels.area_and_grad(tau, vertices, triangles, False)
+        assert not degen.any()
+        for k, (p0, p1, p2) in enumerate(vertices.reshape(m, 3, 3)):
+            bary = (p0 + p1 + p2) / 3.0
+            g = metric_cylinder(amb, CylinderPoint(*bary)).matrix
+            e = np.column_stack([p1 - p0, p2 - p0])
+            expected = 0.5 * np.sqrt(np.linalg.det(e.T @ g @ e))
+            assert areas[k] == pytest.approx(expected, rel=1e-12)
 
 
 def add_at_gradient(tau, vertices, triangles):
@@ -96,13 +94,10 @@ def test_minimize_computes_gradient_only_at_accepted_steps(monkeypatch):
 
 def test_want_grad_false_skips_gradient():
     mesh = sample_meshes()[0]
-    for name in _kernels.available_backends():
-        areas, degen, grad = _kernels.get_backend(name)(
-            0.5, mesh.vertices, mesh.triangles, False
-        )
-        assert grad is None
-        assert len(areas) == len(mesh.triangles)
-        assert not np.asarray(degen).any()
+    areas, degen, grad = _kernels.area_and_grad(0.5, mesh.vertices, mesh.triangles, False)
+    assert grad is None
+    assert len(areas) == len(mesh.triangles)
+    assert not np.asarray(degen).any()
 
 
 def test_degenerate_triangles_flagged():
@@ -118,28 +113,14 @@ def test_degenerate_triangles_flagged():
         ]
     )
     triangles = np.array([[0, 1, 2], [3, 4, 5]])
-    for name in _kernels.available_backends():
-        areas, degen, grad = _kernels.get_backend(name)(0.5, vertices, triangles, True)
-        assert np.asarray(degen).all()
-        assert (areas == 0.0).all()
-        assert np.isfinite(np.asarray(grad)).all()
-        assert np.abs(np.asarray(grad)).max() == 0.0
+    areas, degen, grad = _kernels.area_and_grad(0.5, vertices, triangles, True)
+    assert np.asarray(degen).all()
+    assert (areas == 0.0).all()
+    assert np.isfinite(np.asarray(grad)).all()
+    assert np.abs(np.asarray(grad)).max() == 0.0
 
 
 def test_unknown_backend_rejected():
     with pytest.raises(KeyError):
         _kernels.get_backend("fortran")
 
-
-def test_env_flag_forces_reference_backend():
-    code = (
-        "from etau import _kernels\n"
-        "print(_kernels.ACTIVE_BACKEND, ','.join(_kernels.available_backends()))\n"
-    )
-    env = dict(os.environ, ETAU_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    active, names = out.stdout.split()
-    assert active == "numpy"
-    assert names == "numpy"

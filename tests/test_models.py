@@ -40,6 +40,9 @@ def test_halfspace_point_needs_positive_y():
 def test_conformal_factor_center_and_known_point():
     assert conformal_factor(0.0, 0.0) == 2.0
     assert abs(conformal_factor(0.5, 0.0) - 8.0 / 3.0) < 1e-15
+    for x, y in [(1.0, 0.0), (0.6, 0.8), (np.float64(0.0), np.float64(-1.0)), (1.5, 0.0)]:
+        with pytest.raises(DomainError):
+            conformal_factor(x, y)
 
 
 def test_cylinder_metric_known_components():

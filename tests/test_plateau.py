@@ -201,6 +201,65 @@ def test_subdivide_counts_and_projection():
     assert (fine.vertices[fine.boundary_mask, 2] == 0.2).all()
 
 
+def subdivide_by_loop(mesh, boundary_project):
+    """Midpoint subdivision with one dict lookup per triangle edge."""
+    v = mesh.vertices
+    boundary_edges = mesh.boundary_edges()
+    mid_index = {}
+    extra_pts, extra_mask = [], []
+
+    def midpoint(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in mid_index:
+            p = 0.5 * (v[a] + v[b])
+            if key in boundary_edges and boundary_project is not None:
+                p = np.asarray(boundary_project(p), dtype=np.float64)
+            extra_pts.append(p)
+            extra_mask.append(key in boundary_edges)
+            mid_index[key] = len(v) + len(extra_pts) - 1
+        return mid_index[key]
+
+    new_tris = []
+    for a, b, c in mesh.triangles.tolist():
+        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        new_tris.extend([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)])
+    vertices = np.vstack([v, np.array(extra_pts)])
+    mask = np.concatenate([mesh.boundary_mask, np.array(extra_mask, dtype=bool)])
+    return vertices, np.array(new_tris, dtype=np.int64), mask
+
+
+def test_subdivide_matches_loop_construction():
+    disk = plateau.mesh_disk(plateau.circle_loop(0.5, 0.0, 12), 3)
+    meshes = [
+        disk,
+        plateau.mesh_annulus(
+            plateau.circle_loop(0.5, -1.0, 12), plateau.circle_loop(0.5, 1.0, 12), 5
+        ),
+        plateau.subdivide(disk, plateau.circle_projector(0.5, 0.0)),
+    ]
+
+    def recording(calls):
+        def project(p):
+            calls.append(np.array(p))
+            scale = 0.5 / math.hypot(p[0], p[1])
+            return np.array([scale * p[0], scale * p[1], p[2]])
+
+        return project
+
+    for mesh in meshes:
+        for with_projector in (False, True):
+            calls, ref_calls = [], []
+            fine = plateau.subdivide(mesh, recording(calls) if with_projector else None)
+            vertices, triangles, mask = subdivide_by_loop(
+                mesh, recording(ref_calls) if with_projector else None
+            )
+            np.testing.assert_array_equal(fine.vertices, vertices)
+            np.testing.assert_array_equal(fine.triangles, triangles)
+            np.testing.assert_array_equal(fine.boundary_mask, mask)
+            np.testing.assert_array_equal(np.array(calls), np.array(ref_calls))
+            assert len(calls) == (mask[len(mesh.vertices):].sum() if with_projector else 0)
+
+
 def test_mesh_from_grid_layout():
     with pytest.raises(DomainError):
         plateau.mesh_from_grid(np.zeros((1, 8, 3)))
