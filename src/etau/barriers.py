@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .catenoid import CatenoidProfile, asymptotic_height
+from .catenoid import CatenoidProfile, asymptotic_height, asymptotic_height_supremum
 from .errors import DomainError, UsageError
 from .models import AmbientSpace, BoundaryPoint
 
@@ -97,8 +97,11 @@ class BoundaryCurve:
 
 
 def min_rectangle_height(amb: AmbientSpace) -> float:
-    """Height threshold ``pi sqrt(1 + 4 tau^2)`` below which no tall rectangle exists."""
-    return math.pi * math.sqrt(1.0 + 4.0 * amb.tau * amb.tau)
+    """Height threshold ``pi sqrt(1 + 4 tau^2)`` below which no tall rectangle exists.
+
+    It is twice the supremum of the catenoid asymptotic heights.
+    """
+    return 2.0 * asymptotic_height_supremum(amb)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,12 @@ quadrature below runs in the regular variable ``t``.
 
 Heights are bounded: as ``s`` grows the height tends to a finite limit
 ``asymptotic_height(d)``, which itself increases towards
-``(pi / 2) sqrt(1 + 4 tau^2)`` as ``d`` grows.  Past a radius threshold
-the truncated catenoid has more area than the two totally geodesic disks
-spanning the same pair of circles, which is the content of the two
-lemma-style bounds checked at the bottom of the module.
+``(pi / 2) sqrt(1 + 4 tau^2)`` as ``d`` grows; twice that supremum is
+the tall threshold of the barriers and the curve classifier.  Past a
+radius threshold the truncated catenoid has more area than the two
+totally geodesic disks spanning the same pair of circles, which is the
+content of the two lemma-style bounds, each defined once at the bottom
+of the module.
 """
 
 from __future__ import annotations
@@ -69,8 +71,7 @@ class CatenoidProfile:
     d: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.d) or self.d <= 0.0:
-            raise DomainError(f"neck parameter must be positive, got {self.d!r}")
+        _check_neck_parameter(self.d)
 
     @property
     def neck(self) -> float:
@@ -98,6 +99,11 @@ class TruncatedCatenoid:
         return profile_height(self.profile, self.R)
 
 
+def _check_neck_parameter(d: float) -> None:
+    if not math.isfinite(d) or d <= 0.0:
+        raise DomainError(f"neck parameter must be positive, got {d!r}")
+
+
 def _converged_value(res: QuadratureResult, what: str) -> float:
     """The value of a quadrature result; QuadratureError if it did not converge."""
     if not res.converged:
@@ -110,20 +116,13 @@ def _converged_value(res: QuadratureResult, what: str) -> float:
 
 def neck_radius(d: float) -> float:
     """Hyperbolic radius of the waist of the catenoid with parameter ``d``."""
-    if not math.isfinite(d) or d <= 0.0:
-        raise DomainError(f"neck parameter must be positive, got {d!r}")
+    _check_neck_parameter(d)
     return math.asinh(d)
 
 
 def _fiber_factor(tau: float, rho: float) -> float:
     th = math.tanh(0.5 * rho)
     return math.sqrt(1.0 + 4.0 * tau * tau * th * th)
-
-
-def _rho_of_t(d: float, t: float) -> float:
-    # sinh(rho)^2 = (1 + d^2) cosh(t)^2 - 1, which is >= d^2 > 0.
-    c = math.cosh(t)
-    return math.asinh(math.sqrt((1.0 + d * d) * c * c - 1.0))
 
 
 def _height_integrand(tau: float, d: float):
@@ -195,7 +194,14 @@ def asymptotic_height(
     def tail(T: float) -> float:
         # integrand <= front * sech(t) / sqrt(1 - 1 / ((1+d^2) cosh(T)^2))
         # for t >= T, and the sech tail integrates to 2 arctan(e^-T) <= 2 e^-T.
-        c = math.cosh(T)
+        # A finite cosh(T) also keeps the integrand finite on [0, T].
+        try:
+            c = math.cosh(T)
+        except OverflowError:
+            raise DomainError(
+                f"asymptotic height: truncation point {T!r} overflows cosh; "
+                "the absolute tolerance is too small"
+            ) from None
         margin = 1.0 - 1.0 / ((1.0 + d * d) * c * c)
         return front / math.sqrt(margin) * 2.0 * math.exp(-T)
 
@@ -245,8 +251,7 @@ def neck_parameter_for_height(
 
 def truncation_radius(d: float) -> float:
     """Reference truncation radius ``(3/2) log(d)`` used in the area sweep."""
-    if not math.isfinite(d) or d <= 0.0:
-        raise DomainError(f"neck parameter must be positive, got {d!r}")
+    _check_neck_parameter(d)
     return 1.5 * math.log(d)
 
 
@@ -261,8 +266,7 @@ def regularized_truncation(d: float) -> float:
     Only defined once the reference radius clears the neck (roughly
     ``d > 4.2``); below that the truncated annulus is empty.
     """
-    if not math.isfinite(d) or d <= 0.0:
-        raise DomainError(f"neck parameter must be positive, got {d!r}")
+    _check_neck_parameter(d)
     d3 = d * d * d
     arg = (d3 + 1.0) / (2.0 * math.sqrt(d3) * math.sqrt(d * d + 1.0))
     if arg < 1.0:
@@ -327,6 +331,36 @@ def disk_area_closed_form(amb: AmbientSpace, R: float) -> float:
     return 2.0 * math.pi * root * value
 
 
+def _upper_bound(amb: AmbientSpace, d: float, R: float) -> float:
+    """Catenoid area bound ``2 pi sqrt(1+4 tau^2) (sqrt(e^{2R} - 2 - 4d^2) + 1)``.
+
+    Needs ``R > arcsinh(d + 1)``, which also keeps the radicand positive.
+    """
+    if R <= math.asinh(d + 1.0):
+        raise DomainError(
+            f"upper bound needs R > arcsinh(d + 1) = {math.asinh(d + 1.0)!r}, "
+            f"got R = {R!r}"
+        )
+    radicand = math.exp(2.0 * R) - 2.0 - 4.0 * d * d
+    if radicand <= 0.0:
+        raise DomainError(
+            f"upper bound radicand e^(2R) - 2 - 4 d^2 = {radicand!r} is not positive"
+        )
+    root = math.sqrt(1.0 + 4.0 * amb.tau * amb.tau)
+    return 2.0 * math.pi * root * (math.sqrt(radicand) + 1.0)
+
+
+def _lower_bound(amb: AmbientSpace, d: float) -> float:
+    """Disk-pair area bound ``2 pi sqrt(1+4 tau^2) (sqrt(d^3 - 4) - sqrt(d))``.
+
+    Needs ``d^3 > 4``.
+    """
+    if d * d * d <= 4.0:
+        raise DomainError(f"lower bound needs d^3 > 4, got d = {d!r}")
+    root = math.sqrt(1.0 + 4.0 * amb.tau * amb.tau)
+    return 2.0 * math.pi * root * (math.sqrt(d * d * d - 4.0) - math.sqrt(d))
+
+
 @dataclass(frozen=True)
 class BoundCheck:
     """One lemma-style inequality evaluated at concrete parameters."""
@@ -345,19 +379,8 @@ def check_area_upper_bound(
 
     Requires ``R > arcsinh(d + 1)``, which also keeps the radicand positive.
     """
-    if R <= math.asinh(d + 1.0):
-        raise DomainError(
-            f"upper bound needs R > arcsinh(d + 1) = {math.asinh(d + 1.0)!r}, "
-            f"got R = {R!r}"
-        )
-    radicand = math.exp(2.0 * R) - 2.0 - 4.0 * d * d
-    if radicand <= 0.0:
-        raise DomainError(
-            f"upper bound radicand e^(2R) - 2 - 4 d^2 = {radicand!r} is not positive"
-        )
+    bound = _upper_bound(amb, d, R)
     area = annulus_area(TruncatedCatenoid(CatenoidProfile(amb, d), R), tol)
-    tau = amb.tau
-    bound = 2.0 * math.pi * math.sqrt(1.0 + 4.0 * tau * tau) * (math.sqrt(radicand) + 1.0)
     return BoundCheck(d=d, R=R, area=area, bound=bound, holds=area < bound)
 
 
@@ -382,14 +405,12 @@ def check_area_lower_bound(amb: AmbientSpace, d: float) -> LowerBoundCheck:
     whether the sufficient condition ``3 c1 log(d) + 2 c2 < sqrt(d)`` holds;
     the inequality itself is checked directly against the computed area.
     """
-    if d * d * d <= 4.0:
-        raise DomainError(f"lower bound needs d^3 > 4, got d = {d!r}")
+    bound = _lower_bound(amb, d)
     R = truncation_radius(d)
     area = 2.0 * disk_area_closed_form(amb, R)
     tau = amb.tau
     t2 = 4.0 * tau * tau
     root = math.sqrt(1.0 + t2)
-    bound = 2.0 * math.pi * root * (math.sqrt(d * d * d - 4.0) - math.sqrt(d))
     c1 = t2 / (1.0 + t2)
     c2 = 2.0 / root + (2.0 * t2 / (1.0 + t2)) * math.log(
         math.sqrt(2.0) * root / (1.0 + root)
@@ -448,18 +469,12 @@ def compare_areas(
     cat = annulus_area(TruncatedCatenoid(profile, R), tol)
     disks = 2.0 * disk_area_closed_form(amb, R)
     try:
-        upper = check_area_upper_bound(amb, d, R, tol).bound
+        upper = _upper_bound(amb, d, R)
     except DomainError:
         upper = math.nan
-    tau = amb.tau
-    if d * d * d > 4.0:
-        lower = (
-            2.0
-            * math.pi
-            * math.sqrt(1.0 + 4.0 * tau * tau)
-            * (math.sqrt(d * d * d - 4.0) - math.sqrt(d))
-        )
-    else:
+    try:
+        lower = _lower_bound(amb, d)
+    except DomainError:
         lower = math.nan
     return AreaComparison(
         d=d,

@@ -4,8 +4,8 @@ Subcommands:
 
 * ``catenoid-height``: asymptotic height of a catenoid, or the neck
   parameter attaining a requested height.
-* ``lemmas``: area-comparison sweep over a log grid of neck parameters,
-  with both lemma bounds, the crossover flag, and the height gap.
+* ``lemmas``: one area-comparison sweep over a log grid of neck
+  parameters, with both lemma bounds, the crossover flag, and the gap.
 * ``isometry-bound``: sampled sup of the vertical shift of bounded
   lifts against the strict bound ``2 tau pi``.
 * ``classify``: tall/short verdict and height profile for a curve file.
@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-start", type=float, default=8.0)
     p.add_argument("--d-stop", type=float, default=1e5)
     p.add_argument("--d-count", type=int, default=25)
-    p.add_argument("--jobs", type=int, default=1, help="concurrent sweep workers")
     p.add_argument("--output", default="lemmas.csv")
     p.set_defaults(func=cmd_lemmas)
 
@@ -165,13 +164,9 @@ _LEMMA_COLUMNS = (
 )
 
 
-def _lemma_row(amb: AmbientSpace, d: float):
-    comp = catenoid.compare_areas(amb, d, catenoid.truncation_radius(d))
-    sup = catenoid.asymptotic_height_supremum(amb)
+def _lemma_row(amb: AmbientSpace, sup: float, comp: catenoid.AreaComparison):
     if comp.feasible:
-        u = catenoid.profile_height(
-            catenoid.CatenoidProfile(amb, d), catenoid.truncation_radius(d)
-        )
+        u = catenoid.profile_height(catenoid.CatenoidProfile(amb, comp.d), comp.R)
     else:
         u = math.nan
     upper_holds = comp.feasible and math.isfinite(comp.upper_bound) and (
@@ -201,15 +196,10 @@ def cmd_lemmas(args) -> int:
     if args.d_count < 2 or args.d_start <= 0 or args.d_stop <= args.d_start:
         raise UsageError("need d_stop > d_start > 0 and at least 2 grid points")
     grid = np.geomspace(args.d_start, args.d_stop, args.d_count)
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda d: _lemma_row(amb, float(d)), grid))
-    else:
-        rows = [_lemma_row(amb, float(d)) for d in grid]
-    _csvio.write_table(args.output, "lemmas", 1, _LEMMA_COLUMNS, rows)
     sweep = catenoid.find_crossover(amb, grid)
+    sup = catenoid.asymptotic_height_supremum(amb)
+    rows = [_lemma_row(amb, sup, comp) for comp in sweep.rows]
+    _csvio.write_table(args.output, "lemmas", 1, _LEMMA_COLUMNS, rows)
     print(f"tau = {amb.tau!r}")
     print(f"rows = {len(rows)} -> {args.output}")
     if sweep.found:
@@ -269,7 +259,7 @@ def cmd_classify(args) -> int:
     if result.witness is not None:
         print(f"witness = {result.witness!r}")
     if args.output:
-        profile = curves.height_profile(curve, n=args.grid)
+        profile = result.profile
         rows = [
             (float(a), float(h), int(c), bool(f))
             for a, h, c, f in zip(

@@ -19,13 +19,13 @@ persists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .barriers import BoundaryCurve, is_simple
+from .barriers import BoundaryCurve, is_simple, min_rectangle_height
 from .errors import DomainError, UsageError
 from .models import AmbientSpace, BoundaryPoint, CylinderPoint
 
@@ -284,7 +284,7 @@ class Verdict(Enum):
 
 def tall_threshold(amb: AmbientSpace) -> float:
     """Height every footprint angle must exceed for the curve to be tall."""
-    return math.sqrt(1.0 + 4.0 * amb.tau * amb.tau) * math.pi
+    return min_rectangle_height(amb)
 
 
 def nonexistence_threshold(amb: AmbientSpace) -> float:
@@ -305,7 +305,8 @@ class Classification:
     None for Tall.  ``footprint_min_height`` is the infimum over angles
     the curve projects to; ``global_min_height`` the infimum over the
     whole grid (the two agree unless the footprint is empty, since the
-    height is infinite off the footprint).
+    height is infinite off the footprint).  ``profile`` is the height
+    sweep the verdict was read from.
     """
 
     verdict: Verdict
@@ -314,6 +315,7 @@ class Classification:
     global_min_height: float
     tall_threshold: float
     nonexistence_threshold: float
+    profile: HeightProfile = field(repr=False, compare=False)
 
 
 def _runs_of(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -353,66 +355,53 @@ def classify(
     result Indeterminate.
     """
     profile = height_profile(curve, n, retries)
-    if profile.flagged.any():
-        bad = float(profile.angles[int(np.flatnonzero(profile.flagged)[0])])
-        mn = float(np.nanmin(profile.heights)) if np.isfinite(profile.heights).any() else math.inf
-        return Classification(
-            verdict=Verdict.INDETERMINATE,
-            witness=bad,
-            footprint_min_height=mn,
-            global_min_height=mn,
-            tall_threshold=tall_threshold(amb),
-            nonexistence_threshold=nonexistence_threshold(amb),
-        )
-    foot = profile.footprint()
     thr_tall = tall_threshold(amb)
     thr_nx = nonexistence_threshold(amb)
-    if foot.any():
-        foot_heights = profile.heights[foot]
-        foot_min = float(foot_heights.min())
-    else:
-        foot_min = math.inf
-    global_min = float(profile.heights.min()) if len(profile.heights) else math.inf
-    if foot.any() and bool((foot_heights > thr_tall).all()):
-        return Classification(
-            verdict=Verdict.TALL,
-            witness=None,
-            footprint_min_height=foot_min,
-            global_min_height=global_min,
-            tall_threshold=thr_tall,
-            nonexistence_threshold=thr_nx,
+    heights = profile.heights
+    foot = profile.footprint()
+    if profile.flagged.any():
+        foot_min = global_min = (
+            float(np.nanmin(heights)) if np.isfinite(heights).any() else math.inf
         )
-    below = foot & (profile.heights < thr_nx)
-    runs = [r for r in _runs_of(below) if r[1] >= 2]
-    if runs:
-        start, length = max(runs, key=lambda r: r[1])
-        step = 2.0 * math.pi / n
-        a0 = float(profile.angles[start])
-        if length >= n:
-            witness = (0.0, 2.0 * math.pi)
-        else:
-            witness = (a0, a0 + (length - 1) * step)
-        return Classification(
-            verdict=Verdict.NONEXISTENCE,
-            witness=witness,
-            footprint_min_height=foot_min,
-            global_min_height=global_min,
-            tall_threshold=thr_tall,
-            nonexistence_threshold=thr_nx,
-        )
-    if foot.any():
-        offender = int(np.argmin(np.where(foot, profile.heights, np.inf)))
-        witness_angle = float(profile.angles[offender])
     else:
-        witness_angle = math.nan
+        foot_min = float(heights[foot].min()) if foot.any() else math.inf
+        global_min = float(heights.min())
+    verdict, witness = _verdict(profile, foot, thr_tall, thr_nx)
     return Classification(
-        verdict=Verdict.SHORT,
-        witness=witness_angle,
+        verdict=verdict,
+        witness=witness,
         footprint_min_height=foot_min,
         global_min_height=global_min,
         tall_threshold=thr_tall,
         nonexistence_threshold=thr_nx,
+        profile=profile,
     )
+
+
+def _verdict(
+    profile: HeightProfile, foot: np.ndarray, thr_tall: float, thr_nx: float
+) -> tuple[Verdict, float | tuple[float, float] | None]:
+    # the verdict of classify and its witness, as documented on Classification
+    if profile.flagged.any():
+        return Verdict.INDETERMINATE, float(
+            profile.angles[int(np.flatnonzero(profile.flagged)[0])]
+        )
+    if foot.any() and bool((profile.heights[foot] > thr_tall).all()):
+        return Verdict.TALL, None
+    below = foot & (profile.heights < thr_nx)
+    runs = [r for r in _runs_of(below) if r[1] >= 2]
+    if runs:
+        start, length = max(runs, key=lambda r: r[1])
+        n = len(profile.angles)
+        if length >= n:
+            return Verdict.NONEXISTENCE, (0.0, 2.0 * math.pi)
+        step = 2.0 * math.pi / n
+        a0 = float(profile.angles[start])
+        return Verdict.NONEXISTENCE, (a0, a0 + (length - 1) * step)
+    if foot.any():
+        offender = int(np.argmin(np.where(foot, profile.heights, np.inf)))
+        return Verdict.SHORT, float(profile.angles[offender])
+    return Verdict.SHORT, math.nan
 
 
 def radial_projection(

@@ -58,6 +58,13 @@ __all__ = [
 
 DISK_BARRIER = 1e-9
 
+# line search of minimize: first trial step (the step grows at most 100-fold
+# from it), shrink factor on rejection, Armijo constant, trials per iteration
+_INITIAL_STEP = 0.05
+_LINE_SEARCH_SHRINK = 0.5
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 60
+
 
 def _loop_array(loop) -> np.ndarray:
     if isinstance(loop, np.ndarray):
@@ -158,19 +165,13 @@ class TriMesh:
 class SolverConfig:
     max_iterations: int = 400
     gradient_tol: float = 1e-4
-    initial_step: float = 0.05
     refinement_levels: int = 0
-    line_search_shrink: float = 0.5
-    armijo: float = 1e-4
-    max_backtracks: int = 60
 
     def __post_init__(self) -> None:
-        if self.max_iterations <= 0 or self.max_backtracks <= 0:
-            raise UsageError("iteration limits must be positive")
-        if self.gradient_tol <= 0.0 or self.initial_step <= 0.0:
-            raise UsageError("gradient_tol and initial_step must be positive")
-        if not (0.0 < self.line_search_shrink < 1.0):
-            raise UsageError("line_search_shrink must lie in (0, 1)")
+        if self.max_iterations <= 0:
+            raise UsageError("max_iterations must be positive")
+        if self.gradient_tol <= 0.0:
+            raise UsageError("gradient_tol must be positive")
         if self.refinement_levels < 0:
             raise UsageError("refinement_levels must be nonnegative")
 
@@ -237,7 +238,7 @@ def minimize(
     grad[fixed] = 0.0
     history = [area]
     gnorm = float(np.linalg.norm(grad))
-    step = cfg.initial_step
+    step = _INITIAL_STEP
     converged = False
     iterations = 0
 
@@ -247,18 +248,18 @@ def minimize(
             iterations -= 1
             break
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             cand = v - step * grad
             r2 = cand[~fixed, 0] ** 2 + cand[~fixed, 1] ** 2
             if not (r2 < 1.0 - DISK_BARRIER).all():
-                step *= cfg.line_search_shrink
+                step *= _LINE_SEARCH_SHRINK
                 continue
             c_areas, c_degen, _ = _kernels.area_and_grad(tau, cand, tri, False)
             if int(np.sum(c_degen)) > base_degen:
-                step *= cfg.line_search_shrink
+                step *= _LINE_SEARCH_SHRINK
                 continue
             c_area = float(np.sum(c_areas))
-            if c_area <= area - cfg.armijo * step * gnorm * gnorm:
+            if c_area <= area - _ARMIJO * step * gnorm * gnorm:
                 v = cand
                 area = c_area
                 _, _, grad = _kernels.area_and_grad(tau, v, tri, True)
@@ -266,10 +267,10 @@ def minimize(
                 grad[fixed] = 0.0
                 gnorm = float(np.linalg.norm(grad))
                 history.append(area)
-                step = min(step * 2.0, cfg.initial_step * 100.0)
+                step = min(step * 2.0, _INITIAL_STEP * 100.0)
                 accepted = True
                 break
-            step *= cfg.line_search_shrink
+            step *= _LINE_SEARCH_SHRINK
         if not accepted:
             break
     else:
@@ -431,7 +432,7 @@ def mesh_disk(boundary, n_r: int, ring_fractions: np.ndarray | None = None) -> T
     return TriMesh(vertices, np.vstack([fan, bands.reshape(-1, 3)]))
 
 
-def mesh_from_grid(grid: np.ndarray, closed_u: bool = True) -> TriMesh:
+def mesh_from_grid(grid: np.ndarray) -> TriMesh:
     """Mesh a ``(n_rows, n_cols, 3)`` vertex grid, periodic in the column direction.
 
     Vertex ``(row, col)`` has index ``row * n_cols + col``; the first
@@ -440,8 +441,6 @@ def mesh_from_grid(grid: np.ndarray, closed_u: bool = True) -> TriMesh:
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 3 or g.shape[2] != 3 or g.shape[0] < 2 or g.shape[1] < 3:
         raise DomainError("grid must have shape (n_rows >= 2, n_cols >= 3, 3)")
-    if not closed_u:
-        raise UsageError("only column-periodic grids are supported")
     n_rows, n_cols, _ = g.shape
     vertices = g.reshape(-1, 3)
     row = n_cols * np.arange(n_rows - 1, dtype=np.int64)[:, None]

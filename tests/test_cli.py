@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from etau import _csvio, catenoid, cli
+from etau import _csvio, catenoid, cli, curves
 from etau.errors import UsageError
 from etau.models import AmbientSpace
 
@@ -12,6 +12,19 @@ def run(capsys, *argv):
     rc = cli.main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for the test; the returned list grows by one per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 def test_catenoid_height_forward(capsys):
@@ -39,6 +52,17 @@ def test_catenoid_height_reports_unconverged_quadrature(capsys):
     assert rc == 2
     assert out == ""
     assert "asymptotic height: quadrature stopped" in err
+
+
+def test_catenoid_height_reports_cosh_overflow(capsys):
+    # a tail bound below 1e-300 needs a truncation point where cosh overflows
+    rc, out, err = run(
+        capsys, "catenoid-height", "--tau", "0.5", "--d", "2.0",
+        "--abs-tol", "1e-300", "--rel-tol", "1e-300",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: asymptotic height: truncation point")
 
 
 def test_lemmas_sweep(tmp_path, capsys):
@@ -69,14 +93,15 @@ def test_lemmas_sweep(tmp_path, capsys):
     assert "crossover_d" in out
 
 
-def test_lemmas_jobs_do_not_change_bytes(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    base = ["lemmas", "--tau", "0.5", "--d-start", "8", "--d-stop", "50", "--d-count", "3"]
-    assert cli.main(base + ["--output", str(a)]) == 0
-    assert cli.main(base + ["--jobs", "2", "--output", str(b)]) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
+def test_lemmas_integrates_each_catenoid_area_once(tmp_path, capsys, monkeypatch):
+    calls = count_calls(monkeypatch, catenoid, "annulus_area")
+    out_path = tmp_path / "lemmas.csv"
+    rc, _, _ = run(capsys, "lemmas", "--tau", "0.5", "--output", str(out_path))
+    assert rc == 0
+    _, _, _, rows = _csvio.read_table(out_path, "lemmas")
+    assert len(rows) == 25
+    assert all(r[2] == "true" for r in rows)
+    assert len(calls) == 25
 
 
 def test_isometry_bound(tmp_path, capsys):
@@ -113,7 +138,8 @@ def test_isometry_bound_bad_magnitudes(capsys):
     assert "error:" in err
 
 
-def test_classify_file_roundtrip(tmp_path, capsys):
+def test_classify_file_roundtrip(tmp_path, capsys, monkeypatch):
+    sweeps = count_calls(monkeypatch, curves, "height_profile")
     curve_path = tmp_path / "curve.csv"
     ang = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     comps = [(ang, np.zeros(720)), (ang, np.full(720, 5.0))]
@@ -137,6 +163,7 @@ def test_classify_file_roundtrip(tmp_path, capsys):
     assert columns == ["angle", "height", "crossings", "flagged"]
     assert len(rows) == 180
     assert all(r[2] == "2" for r in rows)
+    assert len(sweeps) == 1  # the profile CSV reuses the classifier's sweep
 
     back = _csvio.read_curve_components(curve_path)
     assert len(back) == 2

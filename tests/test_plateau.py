@@ -183,8 +183,6 @@ def test_solver_config_validation():
     with pytest.raises(UsageError):
         plateau.SolverConfig(gradient_tol=0.0)
     with pytest.raises(UsageError):
-        plateau.SolverConfig(line_search_shrink=1.0)
-    with pytest.raises(UsageError):
         plateau.SolverConfig(refinement_levels=-1)
 
 
@@ -263,8 +261,6 @@ def test_subdivide_matches_loop_construction():
 def test_mesh_from_grid_layout():
     with pytest.raises(DomainError):
         plateau.mesh_from_grid(np.zeros((1, 8, 3)))
-    with pytest.raises(UsageError):
-        plateau.mesh_from_grid(np.zeros((4, 8, 3)), closed_u=False)
     grid = np.zeros((4, 8, 3))
     ang = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
     for r, rad in enumerate((0.2, 0.3, 0.4, 0.5)):
