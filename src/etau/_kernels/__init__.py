@@ -1,8 +1,12 @@
 """Mesh area/gradient kernel.
 
-``area_and_grad`` is the numpy kernel of :mod:`.mesh_numpy`; the Plateau
-solver calls it through this module attribute, so a caller may wrap it
-(to count or time kernel calls) by replacing the attribute.
+``evaluate`` and ``area_and_grad`` are the numpy kernel of
+:mod:`.mesh_numpy`.  The Plateau solver calls ``evaluate`` through this
+module attribute, once per line-search candidate, and takes the gradient
+from the accepted evaluation's ``gradient()``; a caller may wrap
+``evaluate`` (to count or time the solver's kernel work) by replacing the
+attribute.  ``area_and_grad`` is ``evaluate`` plus an optional
+``gradient()``, for callers that want both at once.
 
 ``ACTIVE_BACKEND``, ``available_backends`` and ``get_backend`` name the
 single kernel for ``perfbench``, which records and times kernels by
@@ -13,9 +17,10 @@ from __future__ import annotations
 
 from . import mesh_numpy
 
-__all__ = ["area_and_grad", "ACTIVE_BACKEND", "available_backends", "get_backend"]
+__all__ = ["evaluate", "area_and_grad", "ACTIVE_BACKEND", "available_backends", "get_backend"]
 
 ACTIVE_BACKEND = "numpy"
+evaluate = mesh_numpy.evaluate
 area_and_grad = mesh_numpy.area_and_grad
 
 

@@ -139,7 +139,13 @@ def _height_integrand(tau: float, d: float):
 def _height_upper_limit(d: float, s: float) -> float:
     # cosh(t) = cosh(s) / sqrt(1 + d^2); roundoff can push the ratio
     # fractionally below 1 when s sits at the neck.
-    ratio = math.cosh(s) / math.sqrt(1.0 + d * d)
+    try:
+        c = math.cosh(s)
+    except OverflowError:
+        raise DomainError(
+            f"radius {s!r} overflows cosh; the neck parameter {d!r} is too large"
+        ) from None
+    ratio = c / math.sqrt(1.0 + d * d)
     if ratio <= 1.0:
         return 0.0
     return math.acosh(ratio)

@@ -178,12 +178,25 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome and cost of one :func:`minimize` run.
+
+    ``evaluations`` counts kernel evaluations (one per line-search
+    candidate that passes the disk barrier, plus the start), ``gradients``
+    the gradients finished from them (the start and each accepted step).
+    ``termination`` is ``"converged"`` (gradient norm below tolerance),
+    ``"iteration_cap"`` or ``"line_search_failed"`` (no acceptable step
+    within the backtracking budget).
+    """
+
     final_area: float
     iterations: int
     converged: bool
     gradient_norm: float
     area_history: tuple[float, ...]
-    degenerate_triangles: int = 0
+    degenerate_triangles: int
+    evaluations: int
+    gradients: int
+    termination: str
 
 
 def discrete_area_report(
@@ -217,8 +230,9 @@ def minimize(
 
     A trial step is rejected (and shortened) when it fails the Armijo
     decrease, moves an interior vertex past the disk barrier, or newly
-    degenerates a triangle.  Trial steps are evaluated area-only; the
-    gradient is computed once at the start and once per accepted step.
+    degenerates a triangle.  Each candidate that passes the barrier is
+    evaluated once, through ``_kernels.evaluate``; the gradient is
+    finished from the evaluation of the start and of each accepted step.
     The input mesh is left untouched.
     """
     cfg = config or SolverConfig()
@@ -230,40 +244,46 @@ def minimize(
     v = mesh.vertices.copy()
     tri = mesh.triangles
     fixed = mesh.boundary_mask
+    free = ~fixed
 
-    tri_areas, degen, grad = _kernels.area_and_grad(tau, v, tri, True)
-    area = float(np.sum(tri_areas))
-    base_degen = int(np.sum(degen))
-    grad = np.asarray(grad)
+    # an evaluation stays alive until the next one replaces it: freeing it
+    # first lets the allocator hand its pages back to the system, and the
+    # next evaluation then faults them in again
+    ev = _kernels.evaluate(tau, v, tri)
+    area = float(np.sum(ev.tri_areas))
+    base_degen = int(np.sum(ev.degenerate))
+    grad = ev.gradient()
     grad[fixed] = 0.0
     history = [area]
     gnorm = float(np.linalg.norm(grad))
     step = _INITIAL_STEP
-    converged = False
+    evaluations = gradients = 1
+    termination = "iteration_cap"
     iterations = 0
 
     for iterations in range(1, cfg.max_iterations + 1):
         if gnorm < cfg.gradient_tol:
-            converged = True
+            termination = "converged"
             iterations -= 1
             break
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             cand = v - step * grad
-            r2 = cand[~fixed, 0] ** 2 + cand[~fixed, 1] ** 2
+            r2 = cand[free, 0] ** 2 + cand[free, 1] ** 2
             if not (r2 < 1.0 - DISK_BARRIER).all():
                 step *= _LINE_SEARCH_SHRINK
                 continue
-            c_areas, c_degen, _ = _kernels.area_and_grad(tau, cand, tri, False)
-            if int(np.sum(c_degen)) > base_degen:
+            ev = _kernels.evaluate(tau, cand, tri)
+            evaluations += 1
+            if int(np.sum(ev.degenerate)) > base_degen:
                 step *= _LINE_SEARCH_SHRINK
                 continue
-            c_area = float(np.sum(c_areas))
+            c_area = float(np.sum(ev.tri_areas))
             if c_area <= area - _ARMIJO * step * gnorm * gnorm:
                 v = cand
                 area = c_area
-                _, _, grad = _kernels.area_and_grad(tau, v, tri, True)
-                grad = np.asarray(grad)
+                grad = ev.gradient()
+                gradients += 1
                 grad[fixed] = 0.0
                 gnorm = float(np.linalg.norm(grad))
                 history.append(area)
@@ -272,18 +292,20 @@ def minimize(
                 break
             step *= _LINE_SEARCH_SHRINK
         if not accepted:
+            termination = "line_search_failed"
             break
-    else:
-        iterations = cfg.max_iterations
 
     out = TriMesh(v, tri, fixed.copy())
     report = SolveReport(
         final_area=area,
         iterations=iterations,
-        converged=converged,
+        converged=termination == "converged",
         gradient_norm=gnorm,
         area_history=tuple(history),
         degenerate_triangles=base_degen,
+        evaluations=evaluations,
+        gradients=gradients,
+        termination=termination,
     )
     return out, report
 

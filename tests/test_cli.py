@@ -65,6 +65,18 @@ def test_catenoid_height_reports_cosh_overflow(capsys):
     assert err.startswith("error: asymptotic height: truncation point")
 
 
+def test_lemmas_reports_cosh_overflow(tmp_path, capsys):
+    # the truncation radius 1.5 log d passes 710, where cosh overflows
+    rc, out, err = run(
+        capsys, "lemmas", "--d-start", "1e209", "--d-stop", "1e210", "--d-count", "2",
+        "--output", str(tmp_path / "lemmas.csv"),
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: radius 721.86")
+    assert "overflows cosh" in err
+
+
 def test_lemmas_sweep(tmp_path, capsys):
     out_path = tmp_path / "lemmas.csv"
     rc, out, _ = run(

@@ -49,9 +49,7 @@ def test_kernel_area_uses_the_model_metric():
 
 def add_at_gradient(tau, vertices, triangles):
     """The numpy kernel's gradient, scattered by six successive np.add.at calls."""
-    _, _, (edge1, edge2, pos_x, pos_y) = mesh_numpy._triangle_terms(
-        tau, vertices, triangles, True
-    )
+    edge1, edge2, pos_x, pos_y = mesh_numpy.evaluate(tau, vertices, triangles)._terms()
     grad = np.zeros_like(vertices)
     np.add.at(grad, triangles[:, 1], edge1)
     np.add.at(grad, triangles[:, 2], edge2)
@@ -73,23 +71,118 @@ def test_numpy_scatter_matches_add_at_exactly():
             )
 
 
+def test_evaluation_gradient_matches_area_and_grad_exactly():
+    for mesh in sample_meshes():
+        for tau in (0.0, 0.3, 1.0):
+            areas, degen, grad = _kernels.area_and_grad(tau, mesh.vertices, mesh.triangles, True)
+            ev = _kernels.evaluate(tau, mesh.vertices, mesh.triangles)
+            np.testing.assert_array_equal(ev.tri_areas, areas)
+            np.testing.assert_array_equal(ev.degenerate, degen)
+            assert ev.degenerate.dtype == degen.dtype == np.uint8
+            np.testing.assert_array_equal(ev.gradient(), grad)
+
+
+def reference_minimize(amb, mesh, config):
+    """The solver loop before evaluations were shared: every trial runs the
+    kernel area-only, and each accepted step calls it again with the gradient."""
+    tau = amb.tau
+    v = mesh.vertices.copy()
+    tri = mesh.triangles
+    fixed = mesh.boundary_mask
+    calls = {True: 1, False: 0}
+    tri_areas, degen, grad = _kernels.area_and_grad(tau, v, tri, True)
+    area = float(np.sum(tri_areas))
+    base_degen = int(np.sum(degen))
+    grad[fixed] = 0.0
+    history = [area]
+    gnorm = float(np.linalg.norm(grad))
+    step = plateau._INITIAL_STEP
+    for _ in range(config.max_iterations):
+        if gnorm < config.gradient_tol:
+            break
+        accepted = False
+        for _ in range(plateau._MAX_BACKTRACKS):
+            cand = v - step * grad
+            r2 = cand[~fixed, 0] ** 2 + cand[~fixed, 1] ** 2
+            if not (r2 < 1.0 - plateau.DISK_BARRIER).all():
+                step *= plateau._LINE_SEARCH_SHRINK
+                continue
+            c_areas, c_degen, _ = _kernels.area_and_grad(tau, cand, tri, False)
+            calls[False] += 1
+            if int(np.sum(c_degen)) > base_degen:
+                step *= plateau._LINE_SEARCH_SHRINK
+                continue
+            c_area = float(np.sum(c_areas))
+            if c_area <= area - plateau._ARMIJO * step * gnorm * gnorm:
+                v = cand
+                area = c_area
+                _, _, grad = _kernels.area_and_grad(tau, v, tri, True)
+                calls[True] += 1
+                grad[fixed] = 0.0
+                gnorm = float(np.linalg.norm(grad))
+                history.append(area)
+                step = min(step * 2.0, plateau._INITIAL_STEP * 100.0)
+                accepted = True
+                break
+            step *= plateau._LINE_SEARCH_SHRINK
+        if not accepted:
+            break
+    return v, tuple(history), gnorm, calls
+
+
+def test_minimize_matches_two_call_reference_exactly():
+    wobbled, annulus = sample_meshes()[1:]
+    cases = [(wobbled, tau) for tau in (0.0, 0.3, 1.0)] + [(annulus, 0.3)]
+    config = plateau.SolverConfig(max_iterations=40)
+    for mesh, tau in cases:
+        amb = AmbientSpace(tau)
+        out, rep = plateau.minimize(amb, mesh, config)
+        v, history, gnorm, calls = reference_minimize(amb, mesh, config)
+        assert len(history) > 1
+        np.testing.assert_array_equal(out.vertices, v)
+        np.testing.assert_array_equal(rep.area_history, history)
+        assert rep.gradient_norm == gnorm
+        # the same gradients, and one evaluation per area-only call plus the start
+        assert (rep.evaluations, rep.gradients) == (calls[False] + 1, calls[True])
+
+
 def test_minimize_computes_gradient_only_at_accepted_steps(monkeypatch):
-    calls = {True: 0, False: 0}
-    kernel = _kernels.area_and_grad
+    counts = {"evaluate": 0, "gradient": 0, "area_and_grad": 0}
+    candidates = []
+    evaluate = _kernels.evaluate
 
-    def counting(tau, vertices, triangles, want_grad=True):
-        calls[bool(want_grad)] += 1
-        return kernel(tau, vertices, triangles, want_grad)
+    class CountingEvaluation:
+        def __init__(self, ev):
+            self._ev = ev
+            self.tri_areas = ev.tri_areas
+            self.degenerate = ev.degenerate
 
-    monkeypatch.setattr(_kernels, "area_and_grad", counting)
+        def gradient(self):
+            counts["gradient"] += 1
+            return self._ev.gradient()
+
+    def counting_evaluate(tau, vertices, triangles):
+        counts["evaluate"] += 1
+        candidates.append(np.array(vertices))
+        return CountingEvaluation(evaluate(tau, vertices, triangles))
+
+    def forbidden(*args, **kwargs):
+        counts["area_and_grad"] += 1
+        return mesh_numpy.area_and_grad(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "evaluate", counting_evaluate)
+    monkeypatch.setattr(_kernels, "area_and_grad", forbidden)
     mesh = sample_meshes()[1]
     _, rep = plateau.minimize(
         AmbientSpace(0.3), mesh, plateau.SolverConfig(max_iterations=30)
     )
     assert len(rep.area_history) > 1
-    # once at the start, then once per accepted step
-    assert calls[True] == len(rep.area_history)
-    assert calls[False] >= len(rep.area_history) - 1
+    assert counts["area_and_grad"] == 0
+    # a gradient at the start, then one per accepted step
+    assert counts["gradient"] == rep.gradients == len(rep.area_history)
+    assert counts["evaluate"] == rep.evaluations
+    # no candidate that passes the barrier is evaluated twice
+    assert len({c.tobytes() for c in candidates}) == len(candidates)
 
 
 def test_want_grad_false_skips_gradient():

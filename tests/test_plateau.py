@@ -167,6 +167,48 @@ def test_minimize_flattens_wobbled_disk():
     assert rep.degenerate_triangles == 0
 
 
+def test_minimize_reports_termination_and_cost():
+    amb = AmbientSpace(0.3)
+    mesh = wobbled_disk()
+    _, rep = plateau.minimize(amb, mesh, plateau.SolverConfig(gradient_tol=1.0))
+    assert (rep.termination, rep.converged) == ("converged", True)
+    assert rep.gradient_norm < 1.0
+    assert rep.iterations == len(rep.area_history) - 1
+
+    _, rep = plateau.minimize(amb, mesh, plateau.SolverConfig(max_iterations=3))
+    assert (rep.termination, rep.converged, rep.iterations) == ("iteration_cap", False, 3)
+    assert rep.gradients == len(rep.area_history) == 4
+    assert rep.evaluations >= rep.gradients
+
+
+def test_minimize_reports_line_search_failure(monkeypatch):
+    # every candidate reports more area than the start, so no step passes
+    # the Armijo test and the line search gives up after its backtracks
+    evaluate = _kernels.evaluate
+    start = []
+
+    class Inflated:
+        def __init__(self, ev):
+            self.tri_areas = ev.tri_areas + 1.0
+            self.degenerate = ev.degenerate
+
+    def inflating(tau, vertices, triangles):
+        ev = evaluate(tau, vertices, triangles)
+        if not start:
+            start.append(True)
+            return ev
+        return Inflated(ev)
+
+    monkeypatch.setattr(_kernels, "evaluate", inflating)
+    mesh = wobbled_disk()
+    out, rep = plateau.minimize(AmbientSpace(0.3), mesh)
+    assert (rep.termination, rep.converged, rep.iterations) == ("line_search_failed", False, 1)
+    assert rep.area_history == (rep.final_area,)
+    assert rep.gradients == 1
+    assert rep.evaluations == 1 + plateau._MAX_BACKTRACKS
+    np.testing.assert_array_equal(out.vertices, mesh.vertices)
+
+
 def test_minimize_requires_mixed_mask():
     v = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0]])
     tri = np.array([[0, 1, 2]])
