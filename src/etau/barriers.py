@@ -259,6 +259,11 @@ def delta_for_slab(amb: AmbientSpace, t1: float, t2: float) -> float:
     ``eps = (h - m) / 2``; the arcs stay within ``eps`` of their base
     heights as long as ``2 tau |theta| < eps``.
     """
+    return _slab_placement(amb, t1, t2)[2]
+
+
+def _slab_placement(amb: AmbientSpace, t1: float, t2: float) -> tuple[float, float, float]:
+    # (h, eps, delta) of the bookkeeping documented on delta_for_slab
     floor = min_rectangle_height(amb)
     gap = t2 - t1
     if not (gap > floor):
@@ -267,9 +272,8 @@ def delta_for_slab(amb: AmbientSpace, t1: float, t2: float) -> float:
         )
     h = 0.5 * (gap + floor)
     eps = 0.5 * (h - floor)
-    if amb.tau == 0.0:
-        return math.pi
-    return min(math.pi, eps / (2.0 * amb.tau))
+    delta = math.pi if amb.tau == 0.0 else min(math.pi, eps / (2.0 * amb.tau))
+    return h, eps, delta
 
 
 def place_rectangle(
@@ -281,7 +285,7 @@ def place_rectangle(
     ``delta_for_slab``; the returned boundary then lies in the closed arc
     and strictly between ``t1`` and ``t2``.
     """
-    delta = delta_for_slab(amb, t1, t2)
+    h, eps, delta = _slab_placement(amb, t1, t2)
     raw = (theta2 - theta1) % (2.0 * math.pi)
     if raw > math.pi:
         gap = 2.0 * math.pi - raw
@@ -295,9 +299,6 @@ def place_rectangle(
         raise DomainError(
             f"angular gap {gap!r} must be below delta_for_slab = {delta!r}"
         )
-    floor = min_rectangle_height(amb)
-    h = 0.5 * ((t2 - t1) + floor)
-    eps = 0.5 * (h - floor)
     return TallRectangleBoundary(
         amb=amb,
         h=h,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .models import AmbientSpace, CylinderPoint
+from .models import AmbientSpace
 from .numerics import (
     QuadratureResult,
     ToleranceConfig,
@@ -59,7 +59,6 @@ __all__ = [
     "connected_boundary_for_height",
     "default_crossover_grid",
     "annulus_vertex_grid",
-    "sample_annulus",
 ]
 
 
@@ -624,32 +623,3 @@ def annulus_vertex_grid(
     grid[:, :, 2] = heights[:, None]
     return grid
 
-
-def sample_annulus(
-    trunc: TruncatedCatenoid, n_r: int, n_theta: int
-) -> tuple[list[list[CylinderPoint]], list[list[CylinderPoint]]]:
-    """Point grids on the upper and lower catenoid halves.
-
-    Each half is a list of ``n_r`` rows of ``n_theta`` points; row ``i`` sits
-    at hyperbolic radius interpolating the neck to ``R``.
-    """
-    if n_r < 2 or n_theta < 3:
-        raise DomainError("sampling needs at least 2 radii and 3 angles")
-    profile = trunc.profile
-    radii = np.linspace(profile.neck, trunc.R, n_r)
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    upper: list[list[CylinderPoint]] = []
-    lower: list[list[CylinderPoint]] = []
-    for r in radii:
-        u = profile_height(profile, float(r))
-        mr = math.tanh(0.5 * float(r))
-        top_row = []
-        bot_row = []
-        for th in theta:
-            x = mr * math.cos(float(th))
-            y = mr * math.sin(float(th))
-            top_row.append(CylinderPoint(x, y, u))
-            bot_row.append(CylinderPoint(x, y, -u))
-        upper.append(top_row)
-        lower.append(bot_row)
-    return upper, lower

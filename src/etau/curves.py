@@ -8,12 +8,12 @@ height is infinite.  The classifier compares heights against the two
 thresholds ``sqrt(1+4 tau^2) pi`` (tall) and ``(sqrt(1+4 tau^2)-4 tau) pi``
 (the nonexistence condition, vacuous once tau >= 1/sqrt(12)).
 
-Crossings are found on the sampled polylines by sign-change bracketing
-of the unwrapped angle function with linear interpolation inside a
-segment.  A vertical line meeting the curve tangentially (a touch or a
-whole edge at constant angle) raises :class:`TangencyError`; sweep
-drivers retry with a perturbed angle and flag the angle if the tangency
-persists.
+Each loop's unwrapped angles and heights are built once, when the curve
+is constructed; every sweep angle finds its crossings on those arrays by
+sign-change bracketing with linear interpolation inside a segment.  A
+vertical line meeting the curve tangentially (a touch or a whole edge at
+constant angle) raises :class:`TangencyError`; sweep drivers retry with
+a perturbed angle and flag the angle if the tangency persists.
 """
 
 from __future__ import annotations
@@ -56,16 +56,21 @@ class TangencyError(DomainError):
     """The vertical line meets the curve without crossing it transversally."""
 
 
-def _closed_arrays(component: BoundaryCurve) -> tuple[np.ndarray, np.ndarray]:
-    # Unwrapped angles along the loop, with the closing return to the first
-    # sample appended, so segment i joins index i to i+1 throughout.
+_Loop = tuple[np.ndarray, np.ndarray, float, float, float]
+
+
+def _closed_arrays(component: BoundaryCurve) -> _Loop:
+    # (theta, t, theta.min(), theta.max(), winding) of one loop: unwrapped
+    # angles with the closing return to the first sample appended, so segment
+    # i joins index i to i+1 throughout; winding is 2 pi times the degree.
     theta = component.theta_array()
     t = component.t_array()
     steps = np.diff(theta)
     steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
     closing = (theta[0] - theta[-1] + math.pi) % (2.0 * math.pi) - math.pi
     unwrapped = np.concatenate(([theta[0]], theta[0] + np.cumsum(np.append(steps, closing))))
-    return unwrapped, np.append(t, t[0])
+    winding = unwrapped[-1] - unwrapped[0]
+    return unwrapped, np.append(t, t[0]), unwrapped.min(), unwrapped.max(), winding
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,7 @@ class AsymptoticCurve:
     """Finite disjoint union of simple closed loops on S^1 x R."""
 
     components: tuple[BoundaryCurve, ...]
+    _loops: tuple[_Loop, ...] = field(init=False, compare=False, repr=False)
 
     def __init__(self, components: Iterable[BoundaryCurve]) -> None:
         comps = tuple(components)
@@ -91,10 +97,11 @@ class AsymptoticCurve:
                         "of each other on samples"
                     )
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_loops", tuple(_closed_arrays(c) for c in comps))
 
     def t_range(self) -> tuple[float, float]:
-        lo = min(p.t for c in self.components for p in c.samples)
-        hi = max(p.t for c in self.components for p in c.samples)
+        lo = min(float(loop[1].min()) for loop in self._loops)
+        hi = max(float(loop[1].max()) for loop in self._loops)
         return lo, hi
 
 
@@ -118,21 +125,17 @@ def vertical_line_crossings(
     :class:`TangencyError`.
     """
     out: list[float] = []
-    for comp in curve.components:
-        theta, t = _closed_arrays(comp)
+    for theta, t, theta_min, theta_max, winding in curve._loops:
         m = len(theta) - 1
-        lo = math.floor((theta.min() - p) / (2.0 * math.pi)) - 1
-        hi = math.ceil((theta.max() - p) / (2.0 * math.pi)) + 1
+        lo = math.floor((theta_min - p) / (2.0 * math.pi)) - 1
+        hi = math.ceil((theta_max - p) / (2.0 * math.pi)) + 1
         for k in range(lo, hi + 1):
             target = p + 2.0 * math.pi * k
-            if target < theta.min() - tol or target > theta.max() + tol:
+            if target < theta_min - tol or target > theta_max + tol:
                 continue
             diff = theta - target
-            near = np.abs(diff) <= tol
-            if near[m]:
-                near[m] = False  # closing point duplicates sample 0
-            hit = np.flatnonzero(near[:m])
-            winding = theta[m] - theta[0]  # 2 pi times the loop degree
+            # the closing point duplicates sample 0, so only [:m] is searched
+            hit = np.flatnonzero(np.abs(diff[:m]) <= tol)
             for i in hit:
                 # neighbors in the unwrapped chart; crossing the seam needs
                 # the winding offset so a circle's sample 0 sees -step behind
@@ -161,22 +164,21 @@ def height_at(curve: AsymptoticCurve, p: float, tol: float = _VERTEX_TOL) -> flo
 
     Infinite when the line crosses the curve fewer than two times.
     """
-    ts = vertical_line_crossings(curve, p, tol)
-    if len(ts) < 2:
-        return math.inf
-    return min(b - a for a, b in zip(ts, ts[1:]))
+    return _height(curve, p, None, tol)[0]
 
 
-def _height_with_retries(
-    curve: AsymptoticCurve, p: float, retries: int
+def _height(
+    curve: AsymptoticCurve, p: float, retries: int | None, tol: float = _VERTEX_TOL
 ) -> tuple[float, int, bool]:
-    # returns (height, crossing count, flagged); perturbs p on tangency.
-    q = p
-    for attempt in range(retries + 1):
+    # (height, crossing count, flagged) at p.  On tangency the line moves to
+    # p + k * 1.7e-7 for k = 1..retries and the angle is flagged once those
+    # run out; retries=None lets the TangencyError through instead.
+    for attempt in range(1 if retries is None else retries + 1):
         try:
-            ts = vertical_line_crossings(curve, q)
+            ts = vertical_line_crossings(curve, p + attempt * 1.7e-7, tol)
         except TangencyError:
-            q = p + (attempt + 1) * 1.7e-7
+            if retries is None:
+                raise
             continue
         h = math.inf if len(ts) < 2 else min(b - a for a, b in zip(ts, ts[1:]))
         return h, len(ts), False
@@ -212,10 +214,7 @@ def height_profile(
     counts = np.zeros(n, dtype=int)
     flags = np.zeros(n, dtype=bool)
     for i, p in enumerate(angles):
-        h, c, f = _height_with_retries(curve, float(p), retries)
-        heights[i] = h
-        counts[i] = c
-        flags[i] = f
+        heights[i], counts[i], flags[i] = _height(curve, float(p), retries)
     return HeightProfile(angles=angles, heights=heights, crossing_counts=counts, flagged=flags)
 
 
@@ -259,19 +258,17 @@ def global_height(
         local = np.linspace(center - step, center + step, 17)
         vals = []
         for p in local:
-            h, _, f = _height_with_retries(curve, float(p), retries)
+            h, _, f = _height(curve, float(p), retries)
             flagged = flagged or f
             vals.append(h if not math.isnan(h) else math.inf)
         j = int(np.argmin(vals))
         new_best = float(vals[j])
-        new_center = float(local[j])
+        center = float(local[j])
         step *= 0.5
-        if abs(new_best - best) < stable_tol and step < 2.0 * math.pi / n / 4:
-            best = min(best, new_best)
-            center = new_center
-            break
+        stable = abs(new_best - best) < stable_tol and step < 2.0 * math.pi / n / 4
         best = min(best, new_best)
-        center = new_center
+        if stable:
+            break
     return GlobalHeight(value=best, grid_step=step, flagged_near_argmin=flagged)
 
 

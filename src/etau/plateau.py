@@ -157,9 +157,6 @@ class TriMesh:
     def euler_characteristic(self) -> int:
         return len(self.vertices) - self._n_edges + len(self.triangles)
 
-    def as_cylinder_points(self) -> list[CylinderPoint]:
-        return [CylinderPoint(float(x), float(y), float(t)) for x, y, t in self.vertices]
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -180,9 +177,11 @@ class SolverConfig:
 class SolveReport:
     """Outcome and cost of one :func:`minimize` run.
 
-    ``evaluations`` counts kernel evaluations (one per line-search
-    candidate that passes the disk barrier, plus the start), ``gradients``
-    the gradients finished from them (the start and each accepted step).
+    ``iterations`` counts accepted steps, ``len(area_history) - 1``, for
+    every termination.  ``evaluations`` counts kernel evaluations (one per
+    line-search candidate that passes the disk barrier, plus the start),
+    ``gradients`` the gradients finished from them (the start and each
+    accepted step).
     ``termination`` is ``"converged"`` (gradient norm below tolerance),
     ``"iteration_cap"`` or ``"line_search_failed"`` (no acceptable step
     within the backtracking budget).
@@ -259,12 +258,10 @@ def minimize(
     step = _INITIAL_STEP
     evaluations = gradients = 1
     termination = "iteration_cap"
-    iterations = 0
 
-    for iterations in range(1, cfg.max_iterations + 1):
+    for _ in range(cfg.max_iterations):
         if gnorm < cfg.gradient_tol:
             termination = "converged"
-            iterations -= 1
             break
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
@@ -298,7 +295,7 @@ def minimize(
     out = TriMesh(v, tri, fixed.copy())
     report = SolveReport(
         final_area=area,
-        iterations=iterations,
+        iterations=len(history) - 1,
         converged=termination == "converged",
         gradient_norm=gnorm,
         area_history=tuple(history),

@@ -262,17 +262,6 @@ def test_annulus_vertex_grid_shape_and_symmetry():
     assert np.allclose(grid[0, :, 2], -cat.profile_height(trunc.profile, 4.0), atol=1e-12)
 
 
-def test_sample_annulus_rows():
-    trunc = cat.TruncatedCatenoid(profile(0.0, 1.0), 2.5)
-    upper, lower = cat.sample_annulus(trunc, 4, 6)
-    assert len(upper) == 4 and len(lower) == 4
-    assert all(len(row) == 6 for row in upper)
-    assert upper[0][0].t == 0.0  # neck row
-    assert upper[-1][0].t == pytest.approx(cat.profile_height(trunc.profile, 2.5))
-    assert lower[-1][0].t == pytest.approx(-upper[-1][0].t)
-
-
-
 def test_exhausted_quadrature_budget_raises():
     # one Gauss-Kronrod panel (15 evaluations) cannot meet the default tolerance
     amb = AmbientSpace(0.5, tol=ToleranceConfig(max_evals=15))

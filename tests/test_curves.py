@@ -251,3 +251,117 @@ def test_profile_grid_validation():
     curve = cur.parallel_circles([0.0, 2.0])
     with pytest.raises(UsageError):
         cur.height_profile(curve, n=4)
+
+
+def test_loop_arrays_are_built_once(monkeypatch):
+    calls = []
+    build = cur._closed_arrays
+
+    def counting(component):
+        calls.append(component)
+        return build(component)
+
+    monkeypatch.setattr(cur, "_closed_arrays", counting)
+    curve = cur.parallel_circles([0.0, 2.0])
+    assert len(calls) == 2  # one build per loop, at construction
+    calls.clear()
+    cur.height_profile(curve, n=360)
+    cur.height_at(curve, 1.0)
+    assert curve.t_range() == (0.0, 2.0)
+    assert calls == []
+
+
+def _reference_crossings(curve, p, tol=1e-9):
+    # the per-angle crossing search as first written: every call rebuilds
+    # each loop's unwrapped arrays from its samples
+    out = []
+    for comp in curve.components:
+        theta, t = comp.theta_array(), comp.t_array()
+        steps = (np.diff(theta) + math.pi) % (2.0 * math.pi) - math.pi
+        closing = (theta[0] - theta[-1] + math.pi) % (2.0 * math.pi) - math.pi
+        theta = np.concatenate(([theta[0]], theta[0] + np.cumsum(np.append(steps, closing))))
+        t = np.append(t, t[0])
+        m = len(theta) - 1
+        lo = math.floor((theta.min() - p) / (2.0 * math.pi)) - 1
+        hi = math.ceil((theta.max() - p) / (2.0 * math.pi)) + 1
+        for k in range(lo, hi + 1):
+            target = p + 2.0 * math.pi * k
+            if target < theta.min() - tol or target > theta.max() + tol:
+                continue
+            diff = theta - target
+            near = np.abs(diff) <= tol
+            near[m] = False
+            winding = theta[m] - theta[0]
+            for i in np.flatnonzero(near[:m]):
+                prev_d = diff[i - 1] if i >= 1 else diff[m - 1] - winding
+                next_d = diff[i + 1]
+                if np.abs(prev_d) <= tol or np.abs(next_d) <= tol:
+                    raise cur.TangencyError("edge")
+                if prev_d * next_d > 0.0:
+                    raise cur.TangencyError("touch")
+                out.append(float(t[i]))
+            for i in np.flatnonzero(diff[:m] * diff[1 : m + 1] < 0.0):
+                if np.abs(diff[i]) <= tol or np.abs(diff[i + 1]) <= tol:
+                    continue
+                frac = -diff[i] / (diff[i + 1] - diff[i])
+                out.append(float(t[i] + frac * (t[i + 1] - t[i])))
+    return sorted(out)
+
+
+def _reference_profile(curve, n, retries):
+    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    heights, counts, flags = np.empty(n), np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+    for j, p in enumerate(angles):
+        q = float(p)
+        for attempt in range(retries + 1):
+            try:
+                ts = _reference_crossings(curve, q)
+            except cur.TangencyError:
+                q = float(p) + (attempt + 1) * 1.7e-7
+                continue
+            heights[j] = math.inf if len(ts) < 2 else min(b - a for a, b in zip(ts, ts[1:]))
+            counts[j] = len(ts)
+            break
+        else:
+            heights[j], flags[j] = math.nan, True
+    return heights, counts, flags
+
+
+def _reference_cases():
+    amb = AmbientSpace(0.5)
+    rect = bar.place_rectangle(amb, 1.0, 1.6, 0.0, 2.0 * math.pi * math.sqrt(2.0))
+    rect_curve = cur.AsymptoticCurve([bar.rectangle_boundary(rect, 160)])
+    side = bar.gamma_curves(rect, 160)[0].samples[0].theta
+    p_tan = 90 * (2.0 * math.pi / 720)
+    ellipse = ellipse_loop(p_tan - 0.05, 0.05, 0.05)
+    # touched from the inside at p_tan, so a retried line crosses this one
+    # at heights that depend on the retry offset
+    mirrored = ellipse_loop(p_tan + 0.05, 0.05, 0.05).translated(1.0)
+    return [
+        (cur.parallel_circles([0.0, 2.0]), [1.0]),
+        (rect_curve, [side, rect.rotation + math.pi]),
+        (cur.AsymptoticCurve([ellipse]), [p_tan, ellipse.samples[0].theta]),
+        (cur.AsymptoticCurve([ellipse, mirrored]), [p_tan]),
+        (cur.graph_curve(lambda th: 2.5 + 0.8 * math.cos(th)), [0.5]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_sweep_matches_reference_crossing_loop(case):
+    curve, special = _reference_cases()[case]
+    for n, retries in ((360, 3), (720, 3), (720, 0)):
+        got = cur.height_profile(curve, n=n, retries=retries)
+        heights, counts, flags = _reference_profile(curve, n, retries)
+        np.testing.assert_array_equal(got.heights, heights)
+        np.testing.assert_array_equal(got.crossing_counts, counts)
+        np.testing.assert_array_equal(got.flagged, flags)
+    for p in special:
+        try:
+            expected = _reference_crossings(curve, p)
+        except cur.TangencyError:
+            with pytest.raises(cur.TangencyError):
+                cur.vertical_line_crossings(curve, p)
+            with pytest.raises(cur.TangencyError):
+                cur.height_at(curve, p)
+            continue
+        assert cur.vertical_line_crossings(curve, p) == expected

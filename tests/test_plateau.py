@@ -202,7 +202,7 @@ def test_minimize_reports_line_search_failure(monkeypatch):
     monkeypatch.setattr(_kernels, "evaluate", inflating)
     mesh = wobbled_disk()
     out, rep = plateau.minimize(AmbientSpace(0.3), mesh)
-    assert (rep.termination, rep.converged, rep.iterations) == ("line_search_failed", False, 1)
+    assert (rep.termination, rep.converged, rep.iterations) == ("line_search_failed", False, 0)
     assert rep.area_history == (rep.final_area,)
     assert rep.gradients == 1
     assert rep.evaluations == 1 + plateau._MAX_BACKTRACKS
