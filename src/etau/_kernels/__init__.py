@@ -6,7 +6,10 @@ module attribute, once per line-search candidate, and takes the gradient
 from the accepted evaluation's ``gradient()``; a caller may wrap
 ``evaluate`` (to count or time the solver's kernel work) by replacing the
 attribute.  ``area_and_grad`` is ``evaluate`` plus an optional
-``gradient()``, for callers that want both at once.
+``gradient()``, for callers that want both at once.  ``vertical_graph``
+builds the kernel of a mesh whose vertices move only in t; the solver
+builds it once per vertical solve, through this module attribute, and
+calls its ``evaluate`` in place of ``evaluate``.
 
 ``ACTIVE_BACKEND``, ``available_backends`` and ``get_backend`` name the
 single kernel for ``perfbench``, which records and times kernels by
@@ -17,11 +20,19 @@ from __future__ import annotations
 
 from . import mesh_numpy
 
-__all__ = ["evaluate", "area_and_grad", "ACTIVE_BACKEND", "available_backends", "get_backend"]
+__all__ = [
+    "evaluate",
+    "area_and_grad",
+    "vertical_graph",
+    "ACTIVE_BACKEND",
+    "available_backends",
+    "get_backend",
+]
 
 ACTIVE_BACKEND = "numpy"
 evaluate = mesh_numpy.evaluate
 area_and_grad = mesh_numpy.area_and_grad
+vertical_graph = mesh_numpy.vertical_graph
 
 
 def available_backends() -> tuple[str, ...]:

@@ -17,9 +17,18 @@ flags and keeps the arrays the gradient is built from; the evaluation's
 vertices.  :func:`area_and_grad` is ``evaluate`` plus an optional
 ``gradient()``, so a caller that decides from the areas whether it needs
 the gradient (the Plateau line search) evaluates each mesh once.
+
+:func:`vertical_graph` computes the same discrete area for a mesh whose
+vertices move only in the fiber coordinate (a vertical graph
+``t = u(x, y)``).  Each barycenter then keeps its base coordinates, so
+the metric and the base parts of the Gram entries are computed once per
+mesh; each evaluation needs only the fiber differences along the edges,
+and the gradient has only a fiber column.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -32,24 +41,24 @@ class Evaluation:
     """One kernel evaluation of a mesh, from which the gradient can be finished.
 
     ``tri_areas`` and ``degenerate`` (uint8 flags) are the per-triangle
-    results; ``gradient()`` scatters the area gradient onto the vertices
-    from the arrays the evaluation kept (edges, barycenters, fiber form,
-    G·e₁, G·e₂, Gram entries), so the area terms are not recomputed.
-    Dropping the evaluation frees those arrays.
+    results; ``gradient()`` finishes the per-triangle gradient terms from
+    the arrays the evaluation kept (for :func:`evaluate`: edges,
+    barycenters, fiber form, G·e₁, G·e₂, Gram entries) and scatters them
+    onto the vertices, so the area terms are not recomputed.  Dropping
+    the evaluation frees those arrays.
     """
 
-    __slots__ = ("tri_areas", "degenerate", "_n", "_tri", "_terms")
+    __slots__ = ("tri_areas", "degenerate", "_terms", "_scatter")
 
-    def __init__(self, tri_areas, degenerate, n, tri, terms) -> None:
+    def __init__(self, tri_areas, degenerate, terms, scatter) -> None:
         self.tri_areas = tri_areas
         self.degenerate = degenerate
-        self._n = n
-        self._tri = tri
         self._terms = terms
+        self._scatter = scatter
 
     def gradient(self) -> np.ndarray:
         """Area gradient of shape ``(n, 3)``; degenerate triangles add nothing."""
-        return _scatter(self._n, self._tri, *self._terms())
+        return self._scatter(*self._terms())
 
 
 def area_and_grad(
@@ -154,7 +163,9 @@ def evaluate(tau: float, vertices: np.ndarray, triangles: np.ndarray) -> Evaluat
         edge2 = factor[:, None] * dd_e2
         return edge1, edge2, factor * dd_x / 3.0, factor * dd_y / 3.0
 
-    return Evaluation(tri_areas, degenerate.astype(np.uint8), len(v), tri, terms)
+    return Evaluation(
+        tri_areas, degenerate.astype(np.uint8), terms, functools.partial(_scatter, len(v), tri)
+    )
 
 
 def _scatter(
@@ -187,3 +198,84 @@ def _scatter(
     w = np.concatenate([edge1[:, 2], edge2[:, 2], edge0[:, 2]])
     grad[:, 2] = np.bincount(idx[: 3 * m], w, n)
     return grad
+
+
+class VerticalGraph:
+    """The discrete area of one mesh as a function of its vertices' t alone.
+
+    Built by :func:`vertical_graph`, which fixes every vertex's (x, y).
+    With ``s_i = c_i + Δt_i`` the fiber form along edge ``i``, the Gram
+    entries are ``q_ij = P_ij + s_i s_j``.
+    """
+
+    __slots__ = ("_n", "_idx", "_i0", "_i1", "_i2", "_p11", "_p12", "_p22", "_c1", "_c2")
+
+    def __init__(self, n, idx, p11, p12, p22, c1, c2) -> None:
+        m = len(p11)
+        self._n = n
+        self._idx = idx
+        self._i1, self._i2, self._i0 = idx[:m], idx[m : 2 * m], idx[2 * m :]
+        self._p11, self._p12, self._p22 = p11, p12, p22
+        self._c1, self._c2 = c1, c2
+
+    def evaluate(self, vertices: np.ndarray) -> Evaluation:
+        """Areas and degeneracy flags at the t column of ``vertices``.
+
+        The x and y columns are not read: they are taken to be those the
+        graph was built from.  The gradient's x and y columns are zero.
+        """
+        t = np.asarray(vertices, dtype=np.float64)[:, 2]
+        t0 = t[self._i0]
+        s1 = self._c1 + (t[self._i1] - t0)
+        s2 = self._c2 + (t[self._i2] - t0)
+        q11 = self._p11 + s1 * s1
+        q12 = self._p12 + s1 * s2
+        q22 = self._p22 + s2 * s2
+        det = q11 * q22 - q12 * q12
+        scale = q11 * q22 + q12 * q12
+        degenerate = (det <= _DEGEN_REL * scale) | (scale == 0.0)
+        det_safe = np.where(degenerate, 1.0, det)
+        tri_areas = np.where(degenerate, 0.0, 0.5 * np.sqrt(det_safe))
+
+        def terms():
+            factor = np.where(degenerate, 0.0, 0.5 / np.sqrt(det_safe))
+            return factor * (s1 * q22 - s2 * q12), factor * (s2 * q11 - s1 * q12)
+
+        return Evaluation(tri_areas, degenerate.astype(np.uint8), terms, self._scatter)
+
+    def _scatter(self, dt1: np.ndarray, dt2: np.ndarray) -> np.ndarray:
+        """Vertex 1 receives ``dt1``, vertex 2 ``dt2`` and vertex 0 ``-(dt1 + dt2)``."""
+        grad = np.zeros((self._n, 3))
+        w = np.concatenate([dt1, dt2, -(dt1 + dt2)])
+        grad[:, 2] = np.bincount(self._idx, w, self._n)
+        return grad
+
+
+def vertical_graph(tau: float, vertices: np.ndarray, triangles: np.ndarray) -> VerticalGraph:
+    """The area kernel of a mesh whose vertices move only in t, built once.
+
+    From the fixed barycenters it keeps ``P_ij = λ²⟨e_i^xy, e_j^xy⟩`` and
+    ``c_i = A e_ix + B e_iy`` per triangle, the base parts of the Gram
+    entries of :func:`evaluate` for the cylinder metric
+    ``G = λ² I_xy + ωωᵀ`` with ``ω = (A, B, 1)``.
+    """
+    v = np.asarray(vertices, dtype=np.float64)
+    tri = np.asarray(triangles)
+    p0 = v[tri[:, 0]]
+    p1 = v[tri[:, 1]]
+    p2 = v[tri[:, 2]]
+    cx = (p0[:, 0] + p1[:, 0] + p2[:, 0]) / 3.0
+    cy = (p0[:, 1] + p1[:, 1] + p2[:, 1]) / 3.0
+    lam, a, b = fiber_form(tau, cx, cy)
+    lam2 = lam * lam
+    e1x, e1y = p1[:, 0] - p0[:, 0], p1[:, 1] - p0[:, 1]
+    e2x, e2y = p2[:, 0] - p0[:, 0], p2[:, 1] - p0[:, 1]
+    return VerticalGraph(
+        len(v),
+        np.concatenate([tri[:, 1], tri[:, 2], tri[:, 0]]),
+        lam2 * (e1x * e1x + e1y * e1y),
+        lam2 * (e1x * e2x + e1y * e2y),
+        lam2 * (e2x * e2x + e2y * e2y),
+        a * e1x + b * e1y,
+        a * e2x + b * e2y,
+    )

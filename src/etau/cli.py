@@ -106,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--height", type=float, help="connected-vs-disks at half-height h")
-    g.add_argument("--disk", type=float, help="single flat disk of hyperbolic radius R")
+    g.add_argument(
+        "--disk", type=float, help="single disk of hyperbolic radius R, as a vertical graph"
+    )
     p.add_argument("--max-iterations", type=int, default=400)
     p.add_argument("--gradient-tol", type=float, default=1e-4)
     p.add_argument("--mesh-theta", type=int, default=160)
@@ -289,7 +291,7 @@ def cmd_plateau(args) -> int:
             args.mesh_rings,
             plateau.hyperbolic_ring_fractions(args.disk, args.mesh_rings),
         )
-        opt, rep = plateau.minimize(amb, mesh, cfg)
+        opt, rep = plateau.minimize(amb, mesh, cfg, vertical=True)
         closed = catenoid.disk_area_closed_form(amb, args.disk)
         rel = abs(rep.final_area - closed) / closed
         _csvio.write_table(

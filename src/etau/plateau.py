@@ -7,12 +7,14 @@ with respect to interior vertex positions drives a gradient descent
 with backtracking line search, so the area history is non-increasing by
 construction.  Steps that would push a vertex onto the degenerate
 model boundary ``x^2 + y^2 = 1`` or collapse a triangle are rejected
-and retried shorter.
+and retried shorter.  A mesh that spans its boundary as a vertical graph
+``t = u(x, y)`` can be solved as one (``vertical=True``): its vertices
+then move only in t, and the kernel's metric is computed once per mesh.
 
 Topology never changes during a solve.  The connected-versus-disks
 experiment therefore races two fixed topologies spanning the same pair
-of circles: an annulus initialized on the sampled catenoid and a pair
-of flat disks.
+of circles: an annulus initialized on the sampled catenoid, whose
+vertices move freely, and a pair of flat disks solved as vertical graphs.
 """
 
 from __future__ import annotations
@@ -182,9 +184,10 @@ class SolveReport:
     line-search candidate that passes the disk barrier, plus the start),
     ``gradients`` the gradients finished from them (the start and each
     accepted step).
-    ``termination`` is ``"converged"`` (gradient norm below tolerance),
-    ``"iteration_cap"`` or ``"line_search_failed"`` (no acceptable step
-    within the backtracking budget).
+    ``termination`` is ``"converged"`` (gradient norm below tolerance;
+    for a vertical solve the norm of the t-gradient, the only nonzero
+    column), ``"iteration_cap"`` or ``"line_search_failed"`` (no
+    acceptable step within the backtracking budget).
     """
 
     final_area: float
@@ -223,7 +226,11 @@ def area_gradient(amb: AmbientSpace, mesh: TriMesh) -> np.ndarray:
 
 
 def minimize(
-    amb: AmbientSpace, mesh: TriMesh, config: SolverConfig | None = None
+    amb: AmbientSpace,
+    mesh: TriMesh,
+    config: SolverConfig | None = None,
+    *,
+    vertical: bool = False,
 ) -> tuple[TriMesh, SolveReport]:
     """Gradient descent with backtracking on the interior vertices.
 
@@ -233,6 +240,13 @@ def minimize(
     evaluated once, through ``_kernels.evaluate``; the gradient is
     finished from the evaluation of the start and of each accepted step.
     The input mesh is left untouched.
+
+    With ``vertical`` the mesh is solved as a vertical graph
+    ``t = u(x, y)``: the interior vertices move only in t, and x and y
+    are returned bit for bit as given.  The same loop then evaluates
+    through ``_kernels.vertical_graph``, built once from the mesh, whose
+    gradient has zero x and y columns; ``converged`` means that the
+    t-gradient norm fell below the tolerance.
     """
     cfg = config or SolverConfig()
     if not mesh.boundary_mask.any():
@@ -244,11 +258,16 @@ def minimize(
     tri = mesh.triangles
     fixed = mesh.boundary_mask
     free = ~fixed
+    if vertical:
+        evaluate = _kernels.vertical_graph(tau, v, tri).evaluate
+    else:
+        def evaluate(vertices):
+            return _kernels.evaluate(tau, vertices, tri)
 
     # an evaluation stays alive until the next one replaces it: freeing it
     # first lets the allocator hand its pages back to the system, and the
     # next evaluation then faults them in again
-    ev = _kernels.evaluate(tau, v, tri)
+    ev = evaluate(v)
     area = float(np.sum(ev.tri_areas))
     base_degen = int(np.sum(ev.degenerate))
     grad = ev.gradient()
@@ -270,7 +289,7 @@ def minimize(
             if not (r2 < 1.0 - DISK_BARRIER).all():
                 step *= _LINE_SEARCH_SHRINK
                 continue
-            ev = _kernels.evaluate(tau, cand, tri)
+            ev = evaluate(cand)
             evaluations += 1
             if int(np.sum(ev.degenerate)) > base_degen:
                 step *= _LINE_SEARCH_SHRINK
@@ -312,17 +331,20 @@ def minimize_with_refinement(
     mesh: TriMesh,
     config: SolverConfig | None = None,
     boundary_project: Callable[[np.ndarray], np.ndarray] | None = None,
+    *,
+    vertical: bool = False,
 ) -> tuple[TriMesh, list[SolveReport]]:
     """Solve, subdivide, and re-solve ``refinement_levels`` times.
 
     The area history is monotone within each returned report; the jump
-    between levels reflects the re-discretization.
+    between levels reflects the re-discretization.  ``vertical`` is
+    passed to each level's :func:`minimize`.
     """
     cfg = config or SolverConfig()
     current = mesh
     reports = []
     for level in range(cfg.refinement_levels + 1):
-        current, rep = minimize(amb, current, cfg)
+        current, rep = minimize(amb, current, cfg, vertical=vertical)
         reports.append(rep)
         if level < cfg.refinement_levels:
             current = subdivide(current, boundary_project)
@@ -533,7 +555,9 @@ def compare_connected_vs_disks(
     The boundary is the circle pair at heights ``+-h`` produced by
     ``connected_boundary_for_height``; the annulus starts on the sampled
     catenoid, the disks start flat.  Both topologies are minimized with
-    the same configuration and compared by optimized discrete area.
+    the same configuration and compared by optimized discrete area.  The
+    disks are solved as vertical graphs (``minimize(..., vertical=True)``),
+    the annulus with free vertices.
     """
     cfg = config or SolverConfig()
     analytic = connected_boundary_for_height(amb, h)
@@ -545,7 +569,7 @@ def compare_connected_vs_disks(
     disks = _two_disk_mesh(radius, h, n_r, n_theta)
 
     annulus_opt, annulus_rep = minimize(amb, annulus, cfg)
-    disks_opt, disks_rep = minimize(amb, disks, cfg)
+    disks_opt, disks_rep = minimize(amb, disks, cfg, vertical=True)
     return PlateauComparison(
         h=h,
         analytic=analytic,

@@ -357,6 +357,28 @@ def test_criterion_10_solver_convergence():
     report(10, "solver-convergence", ok, "; ".join(details) + f", {elapsed:.1f} s < 600 s")
 
 
+def test_vertical_graph_disk_refinement_converges():
+    # criterion 10's disks, solved as vertical graphs t = u(x, y)
+    for tau in (0.0, 0.5):
+        amb = AmbientSpace(tau)
+        R = 2.0
+        rho = math.tanh(0.5 * R)
+        base = plateau.mesh_disk(
+            plateau.circle_loop(rho, 0.0, 24), 6, plateau.hyperbolic_ring_fractions(R, 6)
+        )
+        rng = np.random.default_rng(42)
+        interior = ~base.boundary_mask
+        base.vertices[interior, 2] += 0.03 * rng.standard_normal(int(interior.sum()))
+        cfg = plateau.SolverConfig(refinement_levels=4)
+        _, reports = plateau.minimize_with_refinement(
+            amb, base, cfg, plateau.circle_projector(rho, 0.0), vertical=True
+        )
+        assert [rep.termination for rep in reports] == ["converged"] * 5
+        expected = catenoid.disk_area_closed_form(amb, R)
+        rel = abs(reports[-1].final_area - expected) / expected
+        assert rel < 5e-4, f"tau={tau}: level-4 rel error {rel:.2e}"
+
+
 def test_criterion_11_connected_minimizer_race():
     start = time.perf_counter()
     ok = True

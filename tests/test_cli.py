@@ -250,6 +250,7 @@ def test_plateau_disk(tmp_path, capsys):
     assert len(rows) == 1
     row = dict(zip(columns, rows[0]))
     assert float(row["rel_error"]) < 0.05
+    assert row["converged"] == "true"
     closed = catenoid.disk_area_closed_form(AmbientSpace(0.0), 1.0)
     assert float(row["closed_form"]) == pytest.approx(closed, abs=1e-12)
     assert (tmp_path / "mesh_disk.off").exists()

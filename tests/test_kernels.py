@@ -185,6 +185,56 @@ def test_minimize_computes_gradient_only_at_accepted_steps(monkeypatch):
     assert len({c.tobytes() for c in candidates}) == len(candidates)
 
 
+def t_jittered(mesh, seed):
+    """A copy of the mesh with its interior heights jittered."""
+    out = mesh.copy()
+    interior = ~out.boundary_mask
+    rng = np.random.default_rng(seed)
+    out.vertices[interior, 2] += 0.05 * rng.standard_normal(int(interior.sum()))
+    return out
+
+
+def test_vertical_graph_matches_evaluate():
+    for k, base in enumerate(sample_meshes()):
+        mesh = t_jittered(base, k)
+        v, tri = mesh.vertices, mesh.triangles
+        for tau in (0.0, 0.3, 1.0):
+            ev = _kernels.evaluate(tau, v, tri)
+            gv = _kernels.vertical_graph(tau, v, tri).evaluate(v)
+            np.testing.assert_allclose(gv.tri_areas, ev.tri_areas, rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(gv.degenerate, ev.degenerate)
+            assert gv.degenerate.dtype == np.uint8
+            grad, graph_grad = ev.gradient(), gv.gradient()
+            assert not graph_grad[:, :2].any()
+            scale = np.abs(grad[:, 2]).max()
+            assert np.abs(graph_grad[:, 2] - grad[:, 2]).max() <= 1e-10 * scale
+
+
+def test_vertical_minimize_never_calls_evaluate(monkeypatch):
+    counts = {"evaluate": 0, "vertical_graph": 0}
+    vertical_graph = _kernels.vertical_graph
+
+    def forbidden(*args, **kwargs):
+        counts["evaluate"] += 1
+        return mesh_numpy.evaluate(*args, **kwargs)
+
+    def counting_graph(*args, **kwargs):
+        counts["vertical_graph"] += 1
+        return vertical_graph(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "evaluate", forbidden)
+    monkeypatch.setattr(_kernels, "vertical_graph", counting_graph)
+    mesh = t_jittered(sample_meshes()[1], 3)
+    out, rep = plateau.minimize(
+        AmbientSpace(0.3), mesh, plateau.SolverConfig(max_iterations=30), vertical=True
+    )
+    assert counts == {"evaluate": 0, "vertical_graph": 1}
+    assert len(rep.area_history) > 1
+    assert (np.diff(rep.area_history) <= 0.0).all()
+    np.testing.assert_array_equal(out.vertices[:, :2], mesh.vertices[:, :2])
+    assert not np.array_equal(out.vertices[:, 2], mesh.vertices[:, 2])
+
+
 def test_want_grad_false_skips_gradient():
     mesh = sample_meshes()[0]
     areas, degen, grad = _kernels.area_and_grad(0.5, mesh.vertices, mesh.triangles, False)

@@ -409,6 +409,22 @@ def test_compare_connected_vs_disks_small():
     assert abs(result.optimized_disks_area - expected) / expected < 0.03
 
 
+def test_compare_solves_disks_as_graphs_and_annulus_as_before():
+    # the coarse disks need 874 iterations to bring the t-gradient norm
+    # below the absolute tolerance, more than the default cap of 400
+    amb = AmbientSpace(0.1)
+    cfg = plateau.SolverConfig(max_iterations=1000)
+    result = plateau.compare_connected_vs_disks(amb, 1.2, cfg, n_theta=96, n_rows=25, n_r=24)
+    assert result.disks_report.termination == "converged"
+    analytic = connected_boundary_for_height(amb, 1.2)
+    trunc = TruncatedCatenoid(CatenoidProfile(amb, analytic.d), analytic.R)
+    annulus = plateau.mesh_from_grid(annulus_vertex_grid(trunc, 25, 96))
+    out, rep = plateau.minimize(amb, annulus, cfg)
+    assert result.optimized_annulus_area == rep.final_area
+    assert result.annulus_report == rep
+    np.testing.assert_array_equal(result.annulus_mesh.vertices, out.vertices)
+
+
 def test_circle_loop_validation():
     with pytest.raises(DomainError):
         plateau.circle_loop(1.0, 0.0, 16)
