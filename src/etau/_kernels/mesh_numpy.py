@@ -3,10 +3,16 @@
 The metric is evaluated once per triangle at the barycenter, from the
 conformal factor and fiber form of :func:`etau.models.fiber_form`; the
 triangle contributes ``sqrt(det Gram) / 2`` where the Gram matrix pairs
-the two edge vectors from vertex 0.  The gradient combines the edge
-terms with the metric's dependence on the barycenter position (one
-third per vertex, in the two base coordinates only since the metric is
-independent of the fiber coordinate).
+the two edge vectors from vertex 0.  The kernel never forms the metric
+``G = λ² I_xy + ωωᵀ`` (``ω = (A, B, 1)``) itself: with
+``s_i = A e_ix + B e_iy + e_it`` the fiber form along edge ``i`` and
+``d_ij = ⟨e_i^xy, e_j^xy⟩``, the Gram entries are
+``q_ij = λ² d_ij + s_i s_j``.  The gradient combines the edge terms,
+``G e_i = (λ² e_i^xy + (A, B) s_i, s_i)``, with the metric's dependence
+on the barycenter position (one third per vertex, in the two base
+coordinates only since the metric is independent of the fiber
+coordinate): ``∂q_ij = 2λ ∂λ d_ij + r_i s_j + s_i r_j`` with
+``r_i = ∂A e_ix + ∂B e_iy``.
 
 Triangles whose Gram determinant is not positive beyond roundoff are
 flagged degenerate and contribute zero area and zero gradient.
@@ -23,7 +29,9 @@ vertices move only in the fiber coordinate (a vertical graph
 ``t = u(x, y)``).  Each barycenter then keeps its base coordinates, so
 the metric and the base parts of the Gram entries are computed once per
 mesh; each evaluation needs only the fiber differences along the edges,
-and the gradient has only a fiber column.
+and the gradient has only a fiber column.  Both kernels take the areas
+and the degeneracy rule from the Gram entries through one helper, so a
+vertical graph's areas equal :func:`evaluate`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -42,10 +50,10 @@ class Evaluation:
 
     ``tri_areas`` and ``degenerate`` (uint8 flags) are the per-triangle
     results; ``gradient()`` finishes the per-triangle gradient terms from
-    the arrays the evaluation kept (for :func:`evaluate`: edges,
-    barycenters, fiber form, G·e₁, G·e₂, Gram entries) and scatters them
-    onto the vertices, so the area terms are not recomputed.  Dropping
-    the evaluation frees those arrays.
+    the arrays the evaluation kept (for :func:`evaluate`: edge components,
+    barycenters, fiber form, ``s_i``, ``d_ij``, Gram entries and
+    ``sqrt(det)``) and scatters them onto the vertices, so the area terms
+    are not recomputed.  Dropping the evaluation frees those arrays.
     """
 
     __slots__ = ("tri_areas", "degenerate", "_terms", "_scatter")
@@ -87,85 +95,73 @@ def evaluate(tau: float, vertices: np.ndarray, triangles: np.ndarray) -> Evaluat
     """
     v = np.asarray(vertices, dtype=np.float64)
     tri = np.asarray(triangles)
-    p0 = v[tri[:, 0]]
-    p1 = v[tri[:, 1]]
-    p2 = v[tri[:, 2]]
-    e1 = p1 - p0
-    e2 = p2 - p0
-    cx = (p0[:, 0] + p1[:, 0] + p2[:, 0]) / 3.0
-    cy = (p0[:, 1] + p1[:, 1] + p2[:, 1]) / 3.0
+    # x[k], y[k], t[k]: the coordinates of every triangle's corner k
+    x, y, t = np.take(v.T, tri.T, axis=1)
+    e1x, e1y, e1t = x[1] - x[0], y[1] - y[0], t[1] - t[0]
+    e2x, e2y, e2t = x[2] - x[0], y[2] - y[0], t[2] - t[0]
+    cx = (x[0] + x[1] + x[2]) / 3.0
+    cy = (y[0] + y[1] + y[2]) / 3.0
 
     lam, a, b = fiber_form(tau, cx, cy)
     lam2 = lam * lam
-    g11 = lam2 + a * a
-    g12 = a * b
-    g13 = a
-    g22 = lam2 + b * b
-    g23 = b
-
-    def apply_g(w: np.ndarray) -> np.ndarray:
-        out = np.empty_like(w)
-        out[:, 0] = g11 * w[:, 0] + g12 * w[:, 1] + g13 * w[:, 2]
-        out[:, 1] = g12 * w[:, 0] + g22 * w[:, 1] + g23 * w[:, 2]
-        out[:, 2] = g13 * w[:, 0] + g23 * w[:, 1] + w[:, 2]
-        return out
-
-    ge1 = apply_g(e1)
-    ge2 = apply_g(e2)
-    q11 = np.einsum("ij,ij->i", e1, ge1)
-    q12 = np.einsum("ij,ij->i", e1, ge2)
-    q22 = np.einsum("ij,ij->i", e2, ge2)
-    det = q11 * q22 - q12 * q12
-    scale = q11 * q22 + q12 * q12
-    degenerate = (det <= _DEGEN_REL * scale) | (scale == 0.0)
-    det_safe = np.where(degenerate, 1.0, det)
-    tri_areas = np.where(degenerate, 0.0, 0.5 * np.sqrt(det_safe))
+    d11 = e1x * e1x + e1y * e1y
+    d12 = e1x * e2x + e1y * e2y
+    d22 = e2x * e2x + e2y * e2y
+    s1 = (a * e1x + b * e1y) + e1t
+    s2 = (a * e2x + b * e2y) + e2t
+    q11 = lam2 * d11 + s1 * s1
+    q12 = lam2 * d12 + s1 * s2
+    q22 = lam2 * d22 + s2 * s2
+    tri_areas, degenerate, root = _gram_areas(q11, q12, q22)
 
     def terms():
-        factor = np.where(degenerate, 0.0, 0.25 / np.sqrt(det_safe))
-        dd_e1 = 2.0 * q22[:, None] * ge1 - 2.0 * q12[:, None] * ge2
-        dd_e2 = 2.0 * q11[:, None] * ge2 - 2.0 * q12[:, None] * ge1
+        # d area / d det = 0.25 / root and d det / d e_1 = 2 (q22 G e_1 - q12 G e_2);
+        # u_i is the fiber part of that bracket, and of its e_2 counterpart
+        factor = np.where(degenerate, 0.0, 0.5 / root)
+        u1 = s1 * q22 - s2 * q12
+        u2 = s2 * q11 - s1 * q12
+        edge1 = np.array(
+            [lam2 * (q22 * e1x - q12 * e2x) + a * u1, lam2 * (q22 * e1y - q12 * e2y) + b * u1, u1]
+        )
+        edge2 = np.array(
+            [lam2 * (q11 * e2x - q12 * e1x) + a * u2, lam2 * (q11 * e2y - q12 * e1y) + b * u2, u2]
+        )
 
-        # metric derivatives at the barycenter
+        # from ∂q_ij = 2λ ∂λ d_ij + r_i s_j + s_i r_j with r_i = ∂A e_ix + ∂B e_iy:
+        # d det / dc = 2 (λ ∂λ dd + r_1 u1 + r_2 u2), and r_1 u1 + r_2 u2 = ∂A wx + ∂B wy
+        dd = q22 * d11 + q11 * d22 - 2.0 * q12 * d12
+        wx = e1x * u1 + e2x * u2
+        wy = e1y * u1 + e2y * u2
         dlam_dx = lam2 * cx
         dlam_dy = lam2 * cy
         da_dx = 2.0 * tau * cy * dlam_dx
         da_dy = 2.0 * tau * (lam + cy * dlam_dy)
         db_dx = -2.0 * tau * (lam + cx * dlam_dx)
         db_dy = -2.0 * tau * cx * dlam_dy
-        two_lam = 2.0 * lam
-
-        def quad_form(hxx, hxy, hxt, hyy, hyt, u, w):
-            # u^T H w for symmetric H with zero tt entry
-            return (
-                hxx * u[:, 0] * w[:, 0]
-                + hyy * u[:, 1] * w[:, 1]
-                + hxy * (u[:, 0] * w[:, 1] + u[:, 1] * w[:, 0])
-                + hxt * (u[:, 0] * w[:, 2] + u[:, 2] * w[:, 0])
-                + hyt * (u[:, 1] * w[:, 2] + u[:, 2] * w[:, 1])
-            )
-
-        def position_term(dlam, da, db):
-            hxx = two_lam * dlam + 2.0 * a * da
-            hxy = da * b + a * db
-            hxt = da
-            hyy = two_lam * dlam + 2.0 * b * db
-            hyt = db
-            dq11 = quad_form(hxx, hxy, hxt, hyy, hyt, e1, e1)
-            dq12 = quad_form(hxx, hxy, hxt, hyy, hyt, e1, e2)
-            dq22 = quad_form(hxx, hxy, hxt, hyy, hyt, e2, e2)
-            return q22 * dq11 + q11 * dq22 - 2.0 * q12 * dq12
-
-        dd_x = position_term(dlam_dx, da_dx, db_dx)
-        dd_y = position_term(dlam_dy, da_dy, db_dy)
-
-        edge1 = factor[:, None] * dd_e1
-        edge2 = factor[:, None] * dd_e2
-        return edge1, edge2, factor * dd_x / 3.0, factor * dd_y / 3.0
+        pos_x = lam * dlam_dx * dd + da_dx * wx + db_dx * wy
+        pos_y = lam * dlam_dy * dd + da_dy * wx + db_dy * wy
+        return (factor * edge1).T, (factor * edge2).T, factor * pos_x / 3.0, factor * pos_y / 3.0
 
     return Evaluation(
         tri_areas, degenerate.astype(np.uint8), terms, functools.partial(_scatter, len(v), tri)
     )
+
+
+def _gram_areas(q11, q12, q22):
+    """Triangle areas ``0.5·sqrt(det)`` from the Gram entries, and degeneracy flags.
+
+    A triangle is degenerate when its Gram determinant is not positive
+    beyond roundoff; its area is zero.  Returns ``(tri_areas, degenerate,
+    root)`` with ``root = sqrt(det)``, set to 1 on degenerate triangles so
+    that gradient factors built from it stay finite.
+    """
+    p = q11 * q22
+    r = q12 * q12
+    det = p - r
+    scale = p + r
+    degenerate = (det <= _DEGEN_REL * scale) | (scale == 0.0)
+    root = np.sqrt(np.where(degenerate, 1.0, det))
+    return np.where(degenerate, 0.0, 0.5 * root), degenerate, root
 
 
 def _scatter(
@@ -231,14 +227,10 @@ class VerticalGraph:
         q11 = self._p11 + s1 * s1
         q12 = self._p12 + s1 * s2
         q22 = self._p22 + s2 * s2
-        det = q11 * q22 - q12 * q12
-        scale = q11 * q22 + q12 * q12
-        degenerate = (det <= _DEGEN_REL * scale) | (scale == 0.0)
-        det_safe = np.where(degenerate, 1.0, det)
-        tri_areas = np.where(degenerate, 0.0, 0.5 * np.sqrt(det_safe))
+        tri_areas, degenerate, root = _gram_areas(q11, q12, q22)
 
         def terms():
-            factor = np.where(degenerate, 0.0, 0.5 / np.sqrt(det_safe))
+            factor = np.where(degenerate, 0.0, 0.5 / root)
             return factor * (s1 * q22 - s2 * q12), factor * (s2 * q11 - s1 * q12)
 
         return Evaluation(tri_areas, degenerate.astype(np.uint8), terms, self._scatter)

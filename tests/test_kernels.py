@@ -4,7 +4,7 @@ import pytest
 from etau import _kernels
 from etau import plateau
 from etau._kernels import mesh_numpy
-from etau.models import AmbientSpace, CylinderPoint, metric_cylinder
+from etau.models import AmbientSpace, CylinderPoint, fiber_form, metric_cylinder
 
 
 def sample_meshes():
@@ -69,6 +69,108 @@ def test_numpy_scatter_matches_add_at_exactly():
             np.testing.assert_array_equal(
                 grad, add_at_gradient(tau, mesh.vertices, mesh.triangles)
             )
+
+
+def reference_evaluate(tau, vertices, triangles):
+    """The kernel's formula with the full metric G: the Gram entries are
+    quadratic forms of G·e₁ and G·e₂, and the position term differentiates
+    every entry of G.  Returns ``(tri_areas, degenerate, grad)``."""
+    v = np.asarray(vertices, dtype=np.float64)
+    tri = np.asarray(triangles)
+    p0 = v[tri[:, 0]]
+    p1 = v[tri[:, 1]]
+    p2 = v[tri[:, 2]]
+    e1 = p1 - p0
+    e2 = p2 - p0
+    cx = (p0[:, 0] + p1[:, 0] + p2[:, 0]) / 3.0
+    cy = (p0[:, 1] + p1[:, 1] + p2[:, 1]) / 3.0
+
+    lam, a, b = fiber_form(tau, cx, cy)
+    lam2 = lam * lam
+    g11 = lam2 + a * a
+    g12 = a * b
+    g13 = a
+    g22 = lam2 + b * b
+    g23 = b
+
+    def apply_g(w):
+        out = np.empty_like(w)
+        out[:, 0] = g11 * w[:, 0] + g12 * w[:, 1] + g13 * w[:, 2]
+        out[:, 1] = g12 * w[:, 0] + g22 * w[:, 1] + g23 * w[:, 2]
+        out[:, 2] = g13 * w[:, 0] + g23 * w[:, 1] + w[:, 2]
+        return out
+
+    ge1 = apply_g(e1)
+    ge2 = apply_g(e2)
+    q11 = np.einsum("ij,ij->i", e1, ge1)
+    q12 = np.einsum("ij,ij->i", e1, ge2)
+    q22 = np.einsum("ij,ij->i", e2, ge2)
+    det = q11 * q22 - q12 * q12
+    scale = q11 * q22 + q12 * q12
+    degenerate = (det <= mesh_numpy._DEGEN_REL * scale) | (scale == 0.0)
+    det_safe = np.where(degenerate, 1.0, det)
+    tri_areas = np.where(degenerate, 0.0, 0.5 * np.sqrt(det_safe))
+
+    factor = np.where(degenerate, 0.0, 0.25 / np.sqrt(det_safe))
+    dd_e1 = 2.0 * q22[:, None] * ge1 - 2.0 * q12[:, None] * ge2
+    dd_e2 = 2.0 * q11[:, None] * ge2 - 2.0 * q12[:, None] * ge1
+
+    # metric derivatives at the barycenter
+    dlam_dx = lam2 * cx
+    dlam_dy = lam2 * cy
+    da_dx = 2.0 * tau * cy * dlam_dx
+    da_dy = 2.0 * tau * (lam + cy * dlam_dy)
+    db_dx = -2.0 * tau * (lam + cx * dlam_dx)
+    db_dy = -2.0 * tau * cx * dlam_dy
+    two_lam = 2.0 * lam
+
+    def quad_form(hxx, hxy, hxt, hyy, hyt, u, w):
+        # u^T H w for symmetric H with zero tt entry
+        return (
+            hxx * u[:, 0] * w[:, 0]
+            + hyy * u[:, 1] * w[:, 1]
+            + hxy * (u[:, 0] * w[:, 1] + u[:, 1] * w[:, 0])
+            + hxt * (u[:, 0] * w[:, 2] + u[:, 2] * w[:, 0])
+            + hyt * (u[:, 1] * w[:, 2] + u[:, 2] * w[:, 1])
+        )
+
+    def position_term(dlam, da, db):
+        hxx = two_lam * dlam + 2.0 * a * da
+        hxy = da * b + a * db
+        hxt = da
+        hyy = two_lam * dlam + 2.0 * b * db
+        hyt = db
+        dq11 = quad_form(hxx, hxy, hxt, hyy, hyt, e1, e1)
+        dq12 = quad_form(hxx, hxy, hxt, hyy, hyt, e1, e2)
+        dq22 = quad_form(hxx, hxy, hxt, hyy, hyt, e2, e2)
+        return q22 * dq11 + q11 * dq22 - 2.0 * q12 * dq12
+
+    dd_x = position_term(dlam_dx, da_dx, db_dx)
+    dd_y = position_term(dlam_dy, da_dy, db_dy)
+    grad = mesh_numpy._scatter(
+        len(v),
+        tri,
+        factor[:, None] * dd_e1,
+        factor[:, None] * dd_e2,
+        factor * dd_x / 3.0,
+        factor * dd_y / 3.0,
+    )
+    return tri_areas, degenerate.astype(np.uint8), grad
+
+
+def test_factored_kernel_matches_full_metric_reference():
+    # G = λ² I_xy + ωωᵀ reassociates the arithmetic, so the tolerances
+    # are a few hundred ulps of the areas and of the largest gradient entry
+    meshes = sample_meshes()
+    meshes += [t_jittered(mesh, k) for k, mesh in enumerate(meshes)]
+    for mesh in meshes:
+        v, tri = mesh.vertices, mesh.triangles
+        for tau in (0.0, 0.3, 1.0):
+            areas, degen, grad = reference_evaluate(tau, v, tri)
+            ev = _kernels.evaluate(tau, v, tri)
+            np.testing.assert_array_equal(ev.degenerate, degen)
+            np.testing.assert_allclose(ev.tri_areas, areas, rtol=1e-13, atol=0.0)
+            assert np.abs(ev.gradient() - grad).max() <= 1e-12 * np.abs(grad).max()
 
 
 def test_evaluation_gradient_matches_area_and_grad_exactly():
@@ -201,13 +303,13 @@ def test_vertical_graph_matches_evaluate():
         for tau in (0.0, 0.3, 1.0):
             ev = _kernels.evaluate(tau, v, tri)
             gv = _kernels.vertical_graph(tau, v, tri).evaluate(v)
-            np.testing.assert_allclose(gv.tri_areas, ev.tri_areas, rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(gv.tri_areas, ev.tri_areas)
             np.testing.assert_array_equal(gv.degenerate, ev.degenerate)
             assert gv.degenerate.dtype == np.uint8
             grad, graph_grad = ev.gradient(), gv.gradient()
             assert not graph_grad[:, :2].any()
             scale = np.abs(grad[:, 2]).max()
-            assert np.abs(graph_grad[:, 2] - grad[:, 2]).max() <= 1e-10 * scale
+            assert np.abs(graph_grad[:, 2] - grad[:, 2]).max() <= 1e-13 * scale
 
 
 def test_vertical_minimize_never_calls_evaluate(monkeypatch):
