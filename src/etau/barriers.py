@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -196,15 +196,64 @@ def _segments(curve: BoundaryCurve) -> np.ndarray:
     return np.column_stack([theta[:-1], t[:-1], theta[:-1] + db, t[1:]])
 
 
-def is_simple(curve: BoundaryCurve, tol: float = 1e-12) -> bool:
-    """Sweep over sample segments checking for self-intersections.
+# Candidate pairs handed to the pair predicates per batch; bounds the
+# temporaries when stacked vertical sides put O(k^2) pairs in one window.
+_PAIR_CHUNK = 1 << 15
 
-    Adjacent segments share an endpoint and are exempt; everything else
-    is tested pairwise after unwrapping each pair to a common angular
-    chart.  Contact counts: a crossing passing exactly through a sample
-    vertex, or a vertex resting on another segment, makes the curve
-    non-simple.  Collinear runs of samples stay fine because their
-    bounding boxes are separated by at least one sample step.
+
+def _angular_window_pairs(
+    keys_a: np.ndarray, keys_b: np.ndarray, width: float, chunk: int = _PAIR_CHUNK
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Index pairs ``(i, j)`` whose keys lie within ``width`` of each other mod 2 pi.
+
+    Keys are angles in ``[0, 2 pi)``.  ``keys_b`` is sorted once and tiled
+    at ``-2 pi``, ``0`` and ``+2 pi``, so each ``keys_a[i]`` finds its window
+    by two binary searches; pairs come out in batches of at most ``chunk``.
+    A width of ``pi`` or more covers the whole circle and yields every pair.
+    """
+    na, nb = len(keys_a), len(keys_b)
+    if na == 0 or nb == 0:
+        return
+    if width >= math.pi:
+        for s in range(0, na * nb, chunk):
+            flat = np.arange(s, min(s + chunk, na * nb))
+            yield flat // nb, flat % nb
+        return
+    two_pi = 2.0 * math.pi
+    order = np.argsort(keys_b, kind="stable")
+    ordered = keys_b[order]
+    tiled = np.concatenate((ordered - two_pi, ordered, ordered + two_pi))
+    lo = np.searchsorted(tiled, keys_a - width, side="left")
+    counts = np.searchsorted(tiled, keys_a + width, side="right") - lo
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1])
+    for s in range(0, total, chunk):
+        flat = np.arange(s, min(s + chunk, total))
+        i = np.searchsorted(ends, flat, side="right")
+        yield i, order[(lo[i] + flat - starts[i]) % nb]
+
+
+def is_simple(curve: BoundaryCurve, tol: float = 1e-12) -> bool:
+    """Check the sample segments for self-intersections.
+
+    Adjacent segments share an endpoint and are exempt; every other pair
+    is tested after unwrapping it to a common angular chart.  Contact
+    counts: a crossing passing exactly through a sample vertex, or a
+    vertex resting on another segment, makes the curve non-simple.
+    Collinear runs of samples stay fine because their bounding boxes are
+    separated by at least one sample step.
+
+    Two segments whose padded bounding boxes meet have mid-angles within
+    ``w = max |b_theta - a_theta| + 2 tol`` of each other (mod 2 pi), with
+    the widest segment of this curve setting ``w`` and ``1e-9`` added for
+    rounding.  So only the pairs of an angular window of width ``w``
+    around each mid-angle are tested (every pair once ``w >= pi``), in
+    batches of bounded size: stacked vertical sides put O(k^2) pairs in
+    one window, and the batches keep their memory flat.  The box filter
+    and the orientation products are the all-pairs test's, applied to a
+    superset of the pairs it could flag, so the result equals the
+    all-pairs result.
     """
     segs = _segments(curve)
     m = len(segs)
@@ -213,31 +262,28 @@ def is_simple(curve: BoundaryCurve, tol: float = 1e-12) -> bool:
     ax, ay, bx, by = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
     mid = 0.5 * (ax + bx)
     two_pi = 2.0 * math.pi
-    block = 512
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        i = np.arange(start, stop)[:, None]
-        j = np.arange(m)[None, :]
+    keys = mid % two_pi
+    width = float(np.abs(bx - ax).max()) + 2.0 * abs(tol) + 1e-9
+    for i, j in _angular_window_pairs(keys, keys, width):
         allowed = j > i + 1
         if curve.closed:
             allowed &= ~((i == 0) & (j == m - 1))
-        if not allowed.any():
+        i, j = i[allowed], j[allowed]
+        if len(i) == 0:
             continue
-        shift = np.round((mid[start:stop, None] - mid[None, :]) / two_pi) * two_pi
-        cx = ax[None, :] + shift
-        dx = bx[None, :] + shift
-        cy = ay[None, :]
-        dy = by[None, :]
-        iax, iay = ax[start:stop, None], ay[start:stop, None]
-        ibx, iby = bx[start:stop, None], by[start:stop, None]
+        shift = np.round((mid[i] - mid[j]) / two_pi) * two_pi
+        cx = ax[j] + shift
+        dx = bx[j] + shift
+        cy = ay[j]
+        dy = by[j]
+        iax, iay, ibx, iby = ax[i], ay[i], bx[i], by[i]
         boxed = (
             (np.minimum(iax, ibx) <= np.maximum(cx, dx) + tol)
             & (np.minimum(cx, dx) <= np.maximum(iax, ibx) + tol)
             & (np.minimum(iay, iby) <= np.maximum(cy, dy) + tol)
             & (np.minimum(cy, dy) <= np.maximum(iay, iby) + tol)
         )
-        cand = allowed & boxed
-        if not cand.any():
+        if not boxed.any():
             continue
         d1 = (ibx - iax) * (cy - iay) - (iby - iay) * (cx - iax)
         d2 = (ibx - iax) * (dy - iay) - (iby - iay) * (dx - iax)
@@ -245,7 +291,7 @@ def is_simple(curve: BoundaryCurve, tol: float = 1e-12) -> bool:
         d4 = (dx - cx) * (iby - cy) - (dy - cy) * (ibx - cx)
         # <= tol rather than < -tol so vertex-exact contact is caught;
         # collinear disjoint pairs are screened out by the bbox filter.
-        contact = (d1 * d2 <= tol) & (d3 * d4 <= tol) & cand
+        contact = (d1 * d2 <= tol) & (d3 * d4 <= tol) & boxed
         if contact.any():
             return False
     return True

@@ -8,6 +8,12 @@ height is infinite.  The classifier compares heights against the two
 thresholds ``sqrt(1+4 tau^2) pi`` (tall) and ``(sqrt(1+4 tau^2)-4 tau) pi``
 (the nonexistence condition, vacuous once tau >= 1/sqrt(12)).
 
+Construction checks that every loop is simple (``barriers.is_simple``)
+and that no two loops come within ``1e-6`` of each other on samples.
+Both checks draw their candidate pairs from an angular window, so they
+cost near-linear time and memory in the number of samples, and return
+what the all-pairs tests would.
+
 Each loop's unwrapped angles and heights are built once, when the curve
 is constructed; every sweep angle finds its crossings on those arrays by
 sign-change bracketing with linear interpolation inside a segment.  A
@@ -25,7 +31,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .barriers import BoundaryCurve, is_simple, min_rectangle_height
+from .barriers import (
+    BoundaryCurve,
+    _angular_window_pairs,
+    is_simple,
+    min_rectangle_height,
+)
 from .errors import DomainError, UsageError
 from .models import AmbientSpace, BoundaryPoint, CylinderPoint
 
@@ -91,7 +102,7 @@ class AsymptoticCurve:
                 raise DomainError("component loop self-intersects")
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):
-                if _min_sample_distance(comps[i], comps[j]) <= _MIN_SEPARATION:
+                if _samples_within(comps[i], comps[j], _MIN_SEPARATION):
                     raise DomainError(
                         f"components {i} and {j} come within {_MIN_SEPARATION} "
                         "of each other on samples"
@@ -105,13 +116,20 @@ class AsymptoticCurve:
         return lo, hi
 
 
-def _min_sample_distance(a: BoundaryCurve, b: BoundaryCurve) -> float:
+def _samples_within(a: BoundaryCurve, b: BoundaryCurve, sep: float) -> bool:
+    # whether some sample of a lies within sep of some sample of b, angles
+    # wrapped; only pairs whose angles are within sep can qualify, so the
+    # distances are taken on the angular window's candidates alone
     ta, va = a.theta_array(), a.t_array()
     tb, vb = b.theta_array(), b.t_array()
-    dth = np.abs(ta[:, None] - tb[None, :]) % (2.0 * math.pi)
-    dth = np.minimum(dth, 2.0 * math.pi - dth)
-    dt = va[:, None] - vb[None, :]
-    return float(np.sqrt(dth * dth + dt * dt).min())
+    two_pi = 2.0 * math.pi
+    for i, j in _angular_window_pairs(ta % two_pi, tb % two_pi, sep + 1e-9):
+        dth = np.abs(ta[i] - tb[j]) % two_pi
+        dth = np.minimum(dth, two_pi - dth)
+        dt = va[i] - vb[j]
+        if bool((np.sqrt(dth * dth + dt * dt) <= sep).any()):
+            return True
+    return False
 
 
 def vertical_line_crossings(

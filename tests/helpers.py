@@ -1,6 +1,9 @@
-"""Shared finite-difference helpers for the test suite."""
+"""Shared finite-difference and curve helpers for the test suite."""
 
 import numpy as np
+
+from etau.barriers import BoundaryCurve
+from etau.models import BoundaryPoint
 
 
 def fd_jacobian(fn, p, h=1e-7):
@@ -29,3 +32,17 @@ def fd_mesh_gradient(area_fn, vertices, indices, h=1e-6):
             vm[vi, c] -= h
             out[row, c] = (area_fn(vp) - area_fn(vm)) / (2.0 * h)
     return out
+
+
+def dense_polyline(corners, closed, step=0.008):
+    """Interpolate corner-to-corner with angular steps below one degree."""
+    pts = []
+    loop = list(corners) + ([corners[0]] if closed else [])
+    for (a0, t0), (a1, t1) in zip(loop, loop[1:]):
+        n = max(2, int(abs(a1 - a0) / step) + 2)
+        for k in range(n - 1):
+            f = k / (n - 1)
+            pts.append(BoundaryPoint(a0 + f * (a1 - a0), t0 + f * (t1 - t0)))
+    if not closed:
+        pts.append(BoundaryPoint(*corners[-1]))
+    return BoundaryCurve(pts, closed)

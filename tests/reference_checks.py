@@ -1,0 +1,68 @@
+"""All-pairs forms of the curve checks, kept as oracles for the windowed ones.
+
+``reference_is_simple`` tests every pair of sample segments and
+``reference_min_sample_distance`` builds the full matrix of wrapped
+sample distances.  Both cost quadratic time and memory; the library's
+``barriers.is_simple`` and ``curves._samples_within`` must return the
+same booleans.
+"""
+
+import math
+
+import numpy as np
+
+from etau.barriers import BoundaryCurve, _segments
+
+
+def reference_is_simple(curve: BoundaryCurve, tol: float = 1e-12, block: int = 512) -> bool:
+    """Self-intersection test over all segment pairs, ``block`` rows at a time."""
+    segs = _segments(curve)
+    m = len(segs)
+    if m < 3:
+        return True
+    ax, ay, bx, by = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
+    mid = 0.5 * (ax + bx)
+    two_pi = 2.0 * math.pi
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        i = np.arange(start, stop)[:, None]
+        j = np.arange(m)[None, :]
+        allowed = j > i + 1
+        if curve.closed:
+            allowed &= ~((i == 0) & (j == m - 1))
+        if not allowed.any():
+            continue
+        shift = np.round((mid[start:stop, None] - mid[None, :]) / two_pi) * two_pi
+        cx = ax[None, :] + shift
+        dx = bx[None, :] + shift
+        cy = ay[None, :]
+        dy = by[None, :]
+        iax, iay = ax[start:stop, None], ay[start:stop, None]
+        ibx, iby = bx[start:stop, None], by[start:stop, None]
+        boxed = (
+            (np.minimum(iax, ibx) <= np.maximum(cx, dx) + tol)
+            & (np.minimum(cx, dx) <= np.maximum(iax, ibx) + tol)
+            & (np.minimum(iay, iby) <= np.maximum(cy, dy) + tol)
+            & (np.minimum(cy, dy) <= np.maximum(iay, iby) + tol)
+        )
+        cand = allowed & boxed
+        if not cand.any():
+            continue
+        d1 = (ibx - iax) * (cy - iay) - (iby - iay) * (cx - iax)
+        d2 = (ibx - iax) * (dy - iay) - (iby - iay) * (dx - iax)
+        d3 = (dx - cx) * (iay - cy) - (dy - cy) * (iax - cx)
+        d4 = (dx - cx) * (iby - cy) - (dy - cy) * (ibx - cx)
+        contact = (d1 * d2 <= tol) & (d3 * d4 <= tol) & cand
+        if contact.any():
+            return False
+    return True
+
+
+def reference_min_sample_distance(a: BoundaryCurve, b: BoundaryCurve) -> float:
+    """Smallest wrapped distance between a sample of ``a`` and one of ``b``."""
+    ta, va = a.theta_array(), a.t_array()
+    tb, vb = b.theta_array(), b.t_array()
+    dth = np.abs(ta[:, None] - tb[None, :]) % (2.0 * math.pi)
+    dth = np.minimum(dth, 2.0 * math.pi - dth)
+    dt = va[:, None] - vb[None, :]
+    return float(np.sqrt(dth * dth + dt * dt).min())

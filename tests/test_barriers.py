@@ -6,22 +6,9 @@ import pytest
 from etau import barriers as bar
 from etau.errors import DomainError
 from etau.models import AmbientSpace, BoundaryPoint
+from helpers import dense_polyline
 
 SQRT2 = math.sqrt(2.0)
-
-
-def dense_polyline(corners, closed, step=0.008):
-    """Interpolate corner-to-corner with angular steps below one degree."""
-    pts = []
-    loop = list(corners) + ([corners[0]] if closed else [])
-    for (a0, t0), (a1, t1) in zip(loop, loop[1:]):
-        n = max(2, int(abs(a1 - a0) / step) + 2)
-        for k in range(n - 1):
-            f = k / (n - 1)
-            pts.append(BoundaryPoint(a0 + f * (a1 - a0), t0 + f * (t1 - t0)))
-    if not closed:
-        pts.append(BoundaryPoint(*corners[-1]))
-    return bar.BoundaryCurve(pts, closed)
 
 
 def test_half_angle_identity():
