@@ -17,7 +17,7 @@ rectangle squeezed strictly inside the slab over that arc.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -45,9 +45,15 @@ __all__ = [
 ANGULAR_RESOLUTION = math.pi / 180.0
 
 
-def _wrapped_gap(a: float, b: float) -> float:
-    d = abs(a - b) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
+def _wrapped_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    d = np.abs(a - b) % (2.0 * math.pi)
+    return np.minimum(d, 2.0 * math.pi - d)
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -57,33 +63,42 @@ class BoundaryCurve:
     Samples are ordered along the curve; consecutive samples must stay
     within one degree of angular separation so that downstream crossing
     detection sees every transversal passage.  A closed curve wraps from
-    its last sample back to its first without a stored duplicate.
+    its last sample back to its first without a stored duplicate.  The
+    sample coordinates are also kept as read-only arrays, built once.
     """
 
     samples: tuple[BoundaryPoint, ...]
     closed: bool
+    _theta: np.ndarray = field(repr=False, compare=False)
+    _t: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, samples: Iterable[BoundaryPoint], closed: bool) -> None:
         pts = tuple(samples)
         if len(pts) < 2:
             raise DomainError("boundary curve needs at least 2 samples")
-        pairs = list(zip(pts, pts[1:]))
-        if closed:
-            pairs.append((pts[-1], pts[0]))
-        for a, b in pairs:
-            if _wrapped_gap(a.theta, b.theta) > ANGULAR_RESOLUTION + 1e-12:
-                raise DomainError(
-                    "adjacent samples exceed the one-degree angular resolution "
-                    f"contract: {a.theta!r} to {b.theta!r}"
-                )
+        theta = _read_only([p.theta for p in pts])
+        nxt = np.roll(theta, -1) if closed else theta[1:]
+        wide = np.flatnonzero(
+            _wrapped_gap(theta[: len(nxt)], nxt) > ANGULAR_RESOLUTION + 1e-12
+        )
+        if wide.size:
+            i = int(wide[0])
+            raise DomainError(
+                "adjacent samples exceed the one-degree angular resolution "
+                f"contract: {pts[i].theta!r} to {pts[(i + 1) % len(pts)].theta!r}"
+            )
         object.__setattr__(self, "samples", pts)
         object.__setattr__(self, "closed", bool(closed))
+        object.__setattr__(self, "_theta", theta)
+        object.__setattr__(self, "_t", _read_only([p.t for p in pts]))
 
     def theta_array(self) -> np.ndarray:
-        return np.array([p.theta for p in self.samples])
+        """Sample angles, in order, as a read-only array."""
+        return self._theta
 
     def t_array(self) -> np.ndarray:
-        return np.array([p.t for p in self.samples])
+        """Sample heights, in order, as a read-only array."""
+        return self._t
 
     def translated(self, dt: float) -> "BoundaryCurve":
         return BoundaryCurve(

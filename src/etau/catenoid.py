@@ -21,6 +21,7 @@ of the module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -228,7 +229,11 @@ def neck_parameter_for_height(
 
     The asymptotic height increases strictly from 0 to the supremum
     ``(pi / 2) sqrt(1 + 4 tau^2)``, so any value strictly in between is
-    attained exactly once.
+    attained exactly once.  A bracket is grown by halving or doubling from
+    ``d = 1`` and the ITP solver :func:`bisect_monotone` finishes the
+    inversion to ``|h(d) - target| <= tol``.  Each height costs a full
+    quadrature, so heights are memoized for the call and no ``d`` is
+    evaluated twice, bracket ends included.
     """
     sup = asymptotic_height_supremum(amb)
     if not (0.0 < target < sup):
@@ -237,6 +242,7 @@ def neck_parameter_for_height(
             f"supremum {sup!r}"
         )
 
+    @functools.lru_cache(maxsize=None)
     def g(d: float) -> float:
         return asymptotic_height(CatenoidProfile(amb, d))
 
@@ -566,8 +572,14 @@ def connected_boundary_for_height(
         raise DomainError("no crossover point found on the sweep grid")
     d_start = sweep.crossover_d
 
+    # Memoized for the call: the bracket searches and both solves share
+    # points, including (d, truncation_radius(d)) at the solved d.
+    @functools.lru_cache(maxsize=None)
+    def height(d: float, s: float) -> float:
+        return profile_height(CatenoidProfile(amb, d), s)
+
     def height_at_reference(d: float) -> float:
-        return profile_height(CatenoidProfile(amb, d), truncation_radius(d))
+        return height(d, truncation_radius(d))
 
     if height_at_reference(d_start) >= h:
         d = d_start
@@ -584,17 +596,14 @@ def connected_boundary_for_height(
 
     profile = CatenoidProfile(amb, d)
 
-    def height(s: float) -> float:
-        return profile_height(profile, s)
-
     upper = max(truncation_radius(d), profile.neck + 1.0)
     for _ in range(80):
-        if height(upper) >= h:
+        if height(d, upper) >= h:
             break
         upper += max(1.0, upper)
     else:
         raise DomainError(f"half-height {h!r} not bracketed at d = {d!r}")
-    R = bisect_monotone(height, profile.neck, upper, target=h, tol=tol)
+    R = bisect_monotone(functools.partial(height, d), profile.neck, upper, target=h, tol=tol)
     return compare_areas(amb, d, R)
 
 

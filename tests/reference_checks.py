@@ -1,10 +1,11 @@
-"""All-pairs forms of the curve checks, kept as oracles for the windowed ones.
+"""Plain forms of library algorithms, kept as oracles for the faster ones.
 
 ``reference_is_simple`` tests every pair of sample segments and
 ``reference_min_sample_distance`` builds the full matrix of wrapped
 sample distances.  Both cost quadratic time and memory; the library's
 ``barriers.is_simple`` and ``curves._samples_within`` must return the
-same booleans.
+same booleans.  ``reference_bisect`` is the plain bisection that
+``numerics.bisect_monotone`` replaced with the ITP method.
 """
 
 import math
@@ -66,3 +67,26 @@ def reference_min_sample_distance(a: BoundaryCurve, b: BoundaryCurve) -> float:
     dth = np.minimum(dth, 2.0 * math.pi - dth)
     dt = va[:, None] - vb[None, :]
     return float(np.sqrt(dth * dth + dt * dt).min())
+
+
+def reference_bisect(g, lo: float, hi: float, target: float = 0.0, tol: float = 1e-10) -> float:
+    """Solve g(x) = target for monotone g on [lo, hi] by plain bisection."""
+    glo = g(lo) - target
+    ghi = g(hi) - target
+    if glo == 0.0:
+        return lo
+    if ghi == 0.0:
+        return hi
+    if glo * ghi > 0:
+        raise ValueError("[%g, %g] does not bracket the target" % (lo, hi))
+    increasing = ghi > 0
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid) - target
+        if abs(gm) <= tol or hi - lo < tol:
+            return mid
+        if (gm > 0) == increasing:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

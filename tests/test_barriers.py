@@ -35,6 +35,27 @@ def test_boundary_curve_validation():
         bar.BoundaryCurve(bad, closed=True)
 
 
+def test_boundary_curve_names_first_wide_pair():
+    # two wide gaps, 0.03 -> 0.1 and 0.2 -> 0.3; the message names the first
+    pts = [BoundaryPoint(th, 0.0) for th in (0.0, 0.01, 0.02, 0.03, 0.1, 0.11, 0.2, 0.3)]
+    with pytest.raises(DomainError, match=r"contract: 0\.03 to 0\.1$"):
+        bar.BoundaryCurve(pts, closed=False)
+    # closed: only the wrap pair is wide, and it is named last sample first
+    wrap = [BoundaryPoint(k * 0.01, 0.0) for k in range(100)]
+    with pytest.raises(DomainError, match=r"contract: 0\.99 to 0\.0$"):
+        bar.BoundaryCurve(wrap, closed=True)
+
+
+def test_boundary_curve_arrays_are_stored_read_only():
+    c = bar.horizontal_circle(1.0, 360)
+    assert c.theta_array() is c.theta_array() and c.t_array() is c.t_array()
+    np.testing.assert_array_equal(c.theta_array(), [p.theta for p in c.samples])
+    np.testing.assert_array_equal(c.t_array(), [p.t for p in c.samples])
+    with pytest.raises(ValueError):
+        c.t_array()[0] = 2.0
+    assert c == bar.horizontal_circle(1.0, 360)
+
+
 def test_boundary_curve_transforms():
     c = bar.horizontal_circle(1.0, 360)
     up = c.translated(0.5)

@@ -109,6 +109,38 @@ def test_neck_parameter_for_height_roundtrip():
         assert got == pytest.approx(target, abs=1e-8)
 
 
+def _recording(monkeypatch, name, key):
+    original = getattr(cat, name)
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(key(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cat, name, recorder)
+    return calls
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.2])
+@pytest.mark.parametrize("fraction", [0.05, 0.5, 0.95])
+def test_neck_inversion_evaluates_each_height_once(monkeypatch, tau, fraction):
+    amb = AmbientSpace(tau)
+    target = fraction * cat.asymptotic_height_supremum(amb)
+    height = cat.asymptotic_height
+    calls = _recording(monkeypatch, "asymptotic_height", lambda p, *rest: p.d)
+    d = cat.neck_parameter_for_height(amb, target)
+    assert len(set(calls)) == len(calls)
+    assert len(calls) <= 20
+    assert abs(height(cat.CatenoidProfile(amb, d)) - target) <= 1e-10
+
+
+def test_connected_boundary_evaluates_each_height_once(monkeypatch):
+    calls = _recording(monkeypatch, "profile_height", lambda p, s, *rest: (p.d, s))
+    row = cat.connected_boundary_for_height(AmbientSpace(0.0), 1.0)
+    assert row.connected_wins
+    assert len(set(calls)) == len(calls)
+
+
 def test_neck_parameter_for_height_rejects_out_of_range():
     amb = AmbientSpace(0.0)
     sup = cat.asymptotic_height_supremum(amb)

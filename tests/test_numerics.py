@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from etau.errors import DomainError, UsageError
 from etau.numerics import ToleranceConfig, bisect_monotone, integrate, integrate_to_infinity
+from reference_checks import reference_bisect
 
 
 def test_polynomial_exact_in_one_panel():
@@ -95,3 +97,63 @@ def test_bisect_target_and_direction():
 def test_bisect_rejects_non_bracket():
     with pytest.raises(UsageError):
         bisect_monotone(lambda x: x, 1.0, 2.0, target=0.0)
+
+
+def _counting(f):
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    return g, xs
+
+
+# (g, lo, hi, target, root): flat, step-like, skewed, inflected, smooth,
+# decreasing, and a root where floats are spaced wider than the tolerance
+ROOT_CASES = {
+    "x^21": (lambda x: x**21, -0.3, 1.0, 0.0, 0.0),
+    "tanh-step": (lambda x: math.tanh(1e4 * (x - 0.3)), 0.0, 1.0, 0.0, 0.3),
+    "x^10-0.5": (lambda x: x**10 - 0.5, 0.0, 1.0, 0.0, 0.5**0.1),
+    "(x-0.7)^3": (lambda x: (x - 0.7) ** 3, 0.0, 1.0, 0.0, 0.7),
+    "cos": (math.cos, 0.0, 3.0, 0.0, math.pi / 2.0),
+    "exp(-x)": (lambda x: math.exp(-x), 0.0, 10.0, 0.25, math.log(4.0)),
+    "near-1e12": (lambda x: x - 1e12, 1e12 - 1.0, 1e12 + 1.0, 3e-5, 1e12 + 3e-5),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-10, 1e-12])
+@pytest.mark.parametrize("name", sorted(ROOT_CASES))
+def test_root_finder_contract_and_worst_case_count(name, tol):
+    f, lo, hi, target, root = ROOT_CASES[name]
+    g, xs = _counting(f)
+    x = bisect_monotone(g, lo, hi, target=target, tol=tol)
+    # either the value is within tol, or x is the midpoint of a bracket
+    # narrower than tol (or, near 1e12, of the two floats around the root)
+    assert abs(f(x) - target) <= tol or abs(x - root) <= max(0.5 * tol, np.spacing(root))
+    # two bracket ends plus at most n_max = ceil(log2((hi - lo) / tol)) + 1 steps
+    assert len(xs) <= 2 + math.ceil(math.log2((hi - lo) / tol)) + 1
+    assert len(set(xs)) == len(xs)
+
+
+def test_root_finder_beats_bisection_on_smooth_function():
+    g, itp = _counting(math.cos)
+    bisect_monotone(g, 0.0, 3.0)
+    g, plain = _counting(math.cos)
+    reference_bisect(g, 0.0, 3.0)
+    assert len(itp) * 3 <= len(plain)
+
+
+def test_root_finder_has_no_fixed_step_cap():
+    # a sign step gives regula falsi nothing to use, so every step is a
+    # bisection; halving [-1e300, 1e300] down to 1e-300 takes ~1995 steps
+    g, xs = _counting(lambda x: -1.0 if x < 0.0 else 1.0)
+    tol = 1e-300
+    x = bisect_monotone(g, -1e300, 1e300, tol=tol)
+    assert abs(x) <= 0.5 * tol
+    assert 400 < len(xs) <= 2 + math.ceil(math.log2(2e300) - math.log2(tol)) + 1
+
+
+def test_bisect_rejects_non_positive_tolerance():
+    with pytest.raises(UsageError):
+        bisect_monotone(math.cos, 0.0, 3.0, tol=0.0)
