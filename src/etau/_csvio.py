@@ -44,26 +44,48 @@ def write_table(
         fh.write("\n".join(lines) + "\n")
 
 
-def read_table(path, expected_kind: str | None = None):
-    """Read a schema-versioned table; returns (kind, version, columns, rows)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+def read_ascii_lines(path) -> list[str]:
+    """Lines of an ASCII text file; other bytes raise :class:`UsageError`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    lines = []
+    for lineno, raw in enumerate(data.splitlines(), 1):
+        try:
+            lines.append(raw.decode("ascii"))
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path}:{lineno}: non-ASCII byte in {raw!r}") from exc
+    return lines
+
+
+def _read_numbered(path, expected_kind: str | None):
+    # read_table's work, with each row's line number kept for messages
+    lines = read_ascii_lines(path)
     if not lines or not lines[0].startswith(_PREFIX):
         raise UsageError(f"{path}: missing '{_PREFIX}' schema header line")
     parts = lines[0][len(_PREFIX) :].split()
     if len(parts) != 2:
         raise UsageError(f"{path}: malformed schema header {lines[0]!r}")
-    kind, version = parts[0], int(parts[1])
+    kind = parts[0]
+    try:
+        version = int(parts[1])
+    except ValueError as exc:
+        raise UsageError(f"{path}:1: schema version {parts[1]!r} is not an integer") from exc
     if expected_kind is not None and kind != expected_kind:
         raise UsageError(f"{path}: expected a {expected_kind!r} file, found {kind!r}")
     if len(lines) < 2:
         raise UsageError(f"{path}: missing column header row")
     columns = lines[1].split(",")
-    rows = [ln.split(",") for ln in lines[2:] if ln]
-    for row in rows:
+    rows = [(lineno, ln.split(",")) for lineno, ln in enumerate(lines[2:], 3) if ln]
+    for lineno, row in rows:
         if len(row) != len(columns):
-            raise UsageError(f"{path}: row width mismatch: {row!r}")
+            raise UsageError(f"{path}:{lineno}: row width mismatch: {row!r}")
     return kind, version, columns, rows
+
+
+def read_table(path, expected_kind: str | None = None):
+    """Read a schema-versioned table; returns (kind, version, columns, rows)."""
+    kind, version, columns, rows = _read_numbered(path, expected_kind)
+    return kind, version, columns, [row for _, row in rows]
 
 
 CURVE_COLUMNS = ("component_id", "sample_index", "theta", "t")
@@ -80,14 +102,16 @@ def write_curve_components(path, components: Iterable[tuple]) -> None:
 
 def read_curve_components(path) -> list[tuple[np.ndarray, np.ndarray]]:
     """Read loops back as (theta array, t array) pairs, ordered by component."""
-    _, _, columns, rows = read_table(path, "curves")
+    _, _, columns, rows = _read_numbered(path, "curves")
     if tuple(columns) != CURVE_COLUMNS:
         raise UsageError(f"{path}: expected columns {CURVE_COLUMNS}, found {columns}")
     by_comp: dict[int, list[tuple[int, float, float]]] = {}
-    for cid_s, idx_s, th_s, t_s in rows:
-        by_comp.setdefault(int(cid_s), []).append(
-            (int(idx_s), float(th_s), float(t_s))
-        )
+    for lineno, row in rows:
+        try:
+            cid, idx, th, t = int(row[0]), int(row[1]), float(row[2]), float(row[3])
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: non-numeric field in {','.join(row)!r}") from exc
+        by_comp.setdefault(cid, []).append((idx, th, t))
     out = []
     for cid in sorted(by_comp):
         recs = by_comp[cid]

@@ -8,7 +8,8 @@ Subcommands:
   parameters, with both lemma bounds, the crossover flag, and the gap.
 * ``isometry-bound``: sampled sup of the vertical shift of bounded
   lifts against the strict bound ``2 tau pi``.
-* ``classify``: tall/short verdict and height profile for a curve file.
+* ``classify``: exact tall/short verdict for a curve file, and optionally
+  a height profile on ``--grid`` angles (the verdict does not use it).
 * ``plateau``: connected-versus-disks race, or a single-disk solve.
 * ``rectangle``: slab placement width and a rectangle boundary CSV.
 
@@ -37,15 +38,14 @@ __all__ = ["main", "build_parser", "load_config"]
 def load_config(path) -> dict[str, str]:
     """Read ``key=value`` lines; '#' comments and blank lines are ignored."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(_csvio.read_ascii_lines(path), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a curve file")
     _add_common(p)
     p.add_argument("--curve-file", required=True)
-    p.add_argument("--grid", type=int, default=720)
+    p.add_argument("--grid", type=int, default=720, help="angles of the --output profile")
     p.add_argument("--output", default=None, help="height profile CSV path")
     p.set_defaults(func=cmd_classify)
 

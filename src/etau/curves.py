@@ -15,17 +15,20 @@ cost near-linear time and memory in the number of samples, and return
 what the all-pairs tests would.
 
 Each loop's unwrapped angles and heights are built once, when the curve
-is constructed; every sweep angle finds its crossings on those arrays by
-sign-change bracketing with linear interpolation inside a segment.  A
-vertical line meeting the curve tangentially (a touch or a whole edge at
-constant angle) raises :class:`TangencyError`; sweep drivers retry with
-a perturbed angle and flag the angle if the tangency persists.
+is constructed.  :func:`classify` and :func:`global_height` read the
+height at every angle from one event sweep: between consecutive sample
+angles the height is concave, so its limits at their ends settle both
+the infimum and the set below a threshold.  :func:`height_at` brackets
+one line's crossings and raises :class:`TangencyError` on tangential
+contact (a touch or an edge at constant angle); :func:`height_profile`,
+a grid sample for reports, retries such angles perturbed and flags them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
@@ -44,7 +47,6 @@ __all__ = [
     "TangencyError",
     "AsymptoticCurve",
     "HeightProfile",
-    "GlobalHeight",
     "Verdict",
     "Classification",
     "tall_threshold",
@@ -236,65 +238,71 @@ def height_profile(
     return HeightProfile(angles=angles, heights=heights, crossing_counts=counts, flagged=flags)
 
 
-@dataclass(frozen=True)
-class GlobalHeight:
-    """Grid infimum of the height function with the final refinement step."""
+def _gaps(curve: AsymptoticCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+    # events: the sorted distinct sample angles mod 2 pi; cell c is the open
+    # arc from events[c] to the next one, the last wrapping past 2 pi.  In a
+    # cell each segment crosses every line or none, linearly in the angle,
+    # and on a simple curve the crossings keep their order, so neighbours at
+    # the midpoint have linear gaps.  Returns (events, cell, left, right,
+    # footprint): each gap's cell and end limits, and whether any cell is crossed.
+    two_pi = 2.0 * math.pi
+    laps, keys = np.divmod(np.concatenate([loop[0][:-1] for loop in curve._loops]), two_pi)
+    rounded_up = keys >= two_pi  # the remainder of a tiny negative angle
+    laps[rounded_up] += 1.0
+    keys[rounded_up] = 0.0
+    # sorted and deduplicated without np.unique, which imports numpy.ma (about 1 MB)
+    events = keys[np.argsort(keys, kind="stable")]
+    events = events[np.append(True, events[1:] > events[:-1])]
+    k = len(events)
+    # each sample's place on the unwrapped line of events, exact in integers
+    place = laps.astype(np.int64) * k + np.searchsorted(events, keys)
+    segs, split = [], np.cumsum([len(loop[0]) - 1 for loop in curve._loops])[:-1]
+    for (theta, t, _, _, winding), p in zip(curve._loops, np.split(place, split)):
+        p = np.append(p, p[0] + round(winding / two_pi) * k)
+        segs.append((p[:-1], p[1:], theta[:-1], np.diff(theta), t[:-1], np.diff(t)))
+    pa, pb, u0, du, t0, dt = (np.concatenate(c) for c in zip(*segs))
+    # a segment covers the cells between its ends; a vertical edge covers none
+    counts = np.abs(pb - pa)
+    seg = np.repeat(np.arange(len(counts)), counts)
+    first = np.minimum(pa, pb) - (np.cumsum(counts) - counts)
+    lap, cell = np.divmod(first[seg] + np.arange(len(seg)), k)
+    ends = np.append(events, events[0] + two_pi)
+    x0 = ends[cell] + lap * two_pi
+    x1 = ends[cell + 1] + lap * two_pi
+    u0, du, t0, dt = u0[seg], du[seg], t0[seg], dt[seg]
 
-    value: float
-    grid_step: float
-    flagged_near_argmin: bool
+    def height(x):
+        return t0 + np.clip((x - u0) / du, 0.0, 1.0) * dt
 
-    def __float__(self) -> float:
-        return self.value
+    order = np.lexsort((height(0.5 * (x0 + x1)), cell))
+    cell, left, right = cell[order], height(x0)[order], height(x1)[order]
+    same = cell[1:] == cell[:-1]
+    # rounding where two segments share a vertex can leave a gap a hair below 0
+    left, right = (np.maximum(np.diff(h)[same], 0.0) for h in (left, right))
+    return events, cell[1:][same], left, right, len(seg) > 0
 
 
-def global_height(
-    curve: AsymptoticCurve,
-    n: int = 720,
-    stable_tol: float = 1e-4,
-    retries: int = 3,
-) -> GlobalHeight:
-    """Infimum of the height over S^1 by grid sweep plus local refinement.
+def _infimum(events, cell, left, right) -> tuple[float, float, float]:
+    # (infimum, the cell end it is approached at, +1 if its cell lies above
+    # that angle and -1 if below); (inf, nan, 0) when no line has two crossings
+    if len(cell) == 0:
+        return math.inf, math.nan, 0.0
+    j = int(np.argmin(np.concatenate((left, right))))
+    if j < len(cell):
+        return float(left[j]), float(events[cell[j]]), 1.0
+    j -= len(cell)
+    return float(right[j]), float(events[(cell[j] + 1) % len(events)]), -1.0
 
-    The coarse argmin neighborhood is re-sampled with the step halved
-    until two successive minima agree to ``stable_tol``.
-    """
-    profile = height_profile(curve, n, retries)
-    finite = np.isfinite(profile.heights)
-    if not finite.any():
-        return GlobalHeight(
-            value=math.inf,
-            grid_step=2.0 * math.pi / n,
-            flagged_near_argmin=bool(profile.flagged.any()),
-        )
-    i0 = int(np.nanargmin(np.where(finite, profile.heights, np.inf)))
-    center = float(profile.angles[i0])
-    best = float(profile.heights[i0])
-    step = 2.0 * math.pi / n
-    flagged = bool(profile.flagged[max(0, i0 - 1) : i0 + 2].any())
-    for _ in range(40):
-        local = np.linspace(center - step, center + step, 17)
-        vals = []
-        for p in local:
-            h, _, f = _height(curve, float(p), retries)
-            flagged = flagged or f
-            vals.append(h if not math.isnan(h) else math.inf)
-        j = int(np.argmin(vals))
-        new_best = float(vals[j])
-        center = float(local[j])
-        step *= 0.5
-        stable = abs(new_best - best) < stable_tol and step < 2.0 * math.pi / n / 4
-        best = min(best, new_best)
-        if stable:
-            break
-    return GlobalHeight(value=best, grid_step=step, flagged_near_argmin=flagged)
+
+def global_height(curve: AsymptoticCurve) -> float:
+    """Exact infimum of the height over S^1: a limit at a sample angle, from one side."""
+    return _infimum(*_gaps(curve)[:4])[0]
 
 
 class Verdict(Enum):
     TALL = "Tall"
     SHORT = "Short"
     NONEXISTENCE = "NonexistenceCondition"
-    INDETERMINATE = "Indeterminate"
 
 
 def tall_threshold(amb: AmbientSpace) -> float:
@@ -315,13 +323,14 @@ def nonexistence_threshold(amb: AmbientSpace) -> float:
 class Classification:
     """Classifier outcome with the heights that justified it.
 
-    ``witness`` is the offending angle for Short, the (start, end) arc
-    for NonexistenceCondition, a flagged angle for Indeterminate, and
-    None for Tall.  ``footprint_min_height`` is the infimum over angles
-    the curve projects to; ``global_min_height`` the infimum over the
-    whole grid (the two agree unless the footprint is empty, since the
-    height is infinite off the footprint).  ``profile`` is the height
-    sweep the verdict was read from.
+    ``witness`` is None for Tall; for NonexistenceCondition the longest
+    arc ``(start, end)`` below the nonexistence threshold, ``start`` in
+    [0, 2 pi) and ``end`` past 2 pi if the arc crosses angle 0, or
+    ``(0, 2 pi)``; for Short the angle at which the infimum of the height
+    is approached, nan if no line meets the curve.  ``footprint_min_height``
+    is that exact infimum, and so is ``global_min_height``, the height
+    being infinite off the footprint.  ``profile``, a height sample on
+    ``grid`` angles for reports, is swept on first access.
     """
 
     verdict: Verdict
@@ -330,93 +339,80 @@ class Classification:
     global_min_height: float
     tall_threshold: float
     nonexistence_threshold: float
-    profile: HeightProfile = field(repr=False, compare=False)
+    curve: AsymptoticCurve = field(repr=False, compare=False)
+    grid: int = field(repr=False, compare=False)
+
+    @cached_property
+    def profile(self) -> HeightProfile:
+        return height_profile(self.curve, self.grid)
 
 
-def _runs_of(mask: np.ndarray) -> list[tuple[int, int]]:
-    # maximal circular runs of True, as (start, length)
-    n = len(mask)
-    if mask.all():
-        return [(0, n)]
-    if not mask.any():
-        return []
-    runs = []
-    idx = np.flatnonzero(mask)
-    start = idx[0]
-    prev = idx[0]
-    for i in idx[1:]:
-        if i == prev + 1:
-            prev = i
-            continue
-        runs.append((start, prev - start + 1))
-        start = prev = i
-    runs.append((start, prev - start + 1))
-    # merge a run ending at n-1 with one starting at 0 across the seam
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][0] + runs[-1][1] == n:
-        s, ln = runs.pop()
-        first = runs.pop(0)
-        runs.append((s, ln + first[1]))
-    return runs
+def _longest_arc(events, cell, left, right, thr: float) -> tuple[float, float] | None:
+    # Longest arc of positive length where the height is below thr, or None.
+    # A gap is linear on its cell (a, b), so it is below thr on the whole
+    # cell, on [a, meet), on (meet, b] or nowhere; the height, the least
+    # gap, is below thr on the union of these pieces.
+    two_pi = 2.0 * math.pi
+    below = (left < thr) | (right < thr)
+    if not below.any():
+        return None
+    ends = np.append(events, events[0] + two_pi)
+    a, b = ends[cell], ends[cell + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        meet = a + (thr - left) / (right - left) * (b - a)
+    lo = np.where(left < thr, a, meet)[below]
+    hi = np.where(right < thr, b, meet)[below]
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    cover = np.maximum.accumulate(hi)
+    joined = np.append(cover[-1] - two_pi >= lo[0], cover[:-1] >= lo[1:])
+    if joined.all():
+        return 0.0, two_pi
+    # start the list at an arc's first piece; pieces moved behind it wrap by 2 pi
+    shift = int(np.argmin(joined))
+    lo, hi, joined = np.roll(lo, -shift), np.roll(hi, -shift), np.roll(joined, -shift)
+    lo[len(lo) - shift :] += two_pi
+    hi[len(hi) - shift :] += two_pi
+    cover = np.maximum.accumulate(hi)
+    first = np.flatnonzero(~joined)
+    last = np.append(first[1:], len(lo)) - 1
+    best = int(np.argmax(cover[last] - lo[first]))
+    start, end = float(lo[first[best]]), float(cover[last[best]])
+    if start >= two_pi:
+        start, end = start - two_pi, end - two_pi
+    return start, end
 
 
-def classify(
-    amb: AmbientSpace, curve: AsymptoticCurve, n: int = 720, retries: int = 3
-) -> Classification:
-    """Tall / Short / NonexistenceCondition verdict over an ``n``-angle sweep.
+def classify(amb: AmbientSpace, curve: AsymptoticCurve, n: int = 720) -> Classification:
+    """Tall / Short / NonexistenceCondition verdict at every angle, not a sample.
 
-    Tall requires every footprint angle to clear the tall threshold;
-    the nonexistence verdict requires an arc of at least two consecutive
-    grid angles below its threshold.  Persistent tangency flags make the
-    result Indeterminate.
+    Tall requires the exact infimum of the height over the footprint to
+    clear the tall threshold; the nonexistence verdict requires an arc of
+    positive length below its threshold; anything else is Short.  ``n``
+    sets only the grid of ``Classification.profile``.
     """
-    profile = height_profile(curve, n, retries)
+    if n < 8:
+        raise UsageError(f"angular grid needs at least 8 points, got {n!r}")
     thr_tall = tall_threshold(amb)
     thr_nx = nonexistence_threshold(amb)
-    heights = profile.heights
-    foot = profile.footprint()
-    if profile.flagged.any():
-        foot_min = global_min = (
-            float(np.nanmin(heights)) if np.isfinite(heights).any() else math.inf
-        )
+    events, cell, left, right, footprint = _gaps(curve)
+    low, at, _ = _infimum(events, cell, left, right)
+    if footprint and low > thr_tall:
+        verdict, witness = Verdict.TALL, None
+    elif (arc := _longest_arc(events, cell, left, right, thr_nx)) is not None:
+        verdict, witness = Verdict.NONEXISTENCE, arc
     else:
-        foot_min = float(heights[foot].min()) if foot.any() else math.inf
-        global_min = float(heights.min())
-    verdict, witness = _verdict(profile, foot, thr_tall, thr_nx)
+        verdict, witness = Verdict.SHORT, at
     return Classification(
         verdict=verdict,
         witness=witness,
-        footprint_min_height=foot_min,
-        global_min_height=global_min,
+        footprint_min_height=low,
+        global_min_height=low,
         tall_threshold=thr_tall,
         nonexistence_threshold=thr_nx,
-        profile=profile,
+        curve=curve,
+        grid=n,
     )
-
-
-def _verdict(
-    profile: HeightProfile, foot: np.ndarray, thr_tall: float, thr_nx: float
-) -> tuple[Verdict, float | tuple[float, float] | None]:
-    # the verdict of classify and its witness, as documented on Classification
-    if profile.flagged.any():
-        return Verdict.INDETERMINATE, float(
-            profile.angles[int(np.flatnonzero(profile.flagged)[0])]
-        )
-    if foot.any() and bool((profile.heights[foot] > thr_tall).all()):
-        return Verdict.TALL, None
-    below = foot & (profile.heights < thr_nx)
-    runs = [r for r in _runs_of(below) if r[1] >= 2]
-    if runs:
-        start, length = max(runs, key=lambda r: r[1])
-        n = len(profile.angles)
-        if length >= n:
-            return Verdict.NONEXISTENCE, (0.0, 2.0 * math.pi)
-        step = 2.0 * math.pi / n
-        a0 = float(profile.angles[start])
-        return Verdict.NONEXISTENCE, (a0, a0 + (length - 1) * step)
-    if foot.any():
-        offender = int(np.argmin(np.where(foot, profile.heights, np.inf)))
-        return Verdict.SHORT, float(profile.angles[offender])
-    return Verdict.SHORT, math.nan
 
 
 def radial_projection(

@@ -6,12 +6,16 @@ sample distances.  Both cost quadratic time and memory; the library's
 ``barriers.is_simple`` and ``curves._samples_within`` must return the
 same booleans.  ``reference_bisect`` is the plain bisection that
 ``numerics.bisect_monotone`` replaced with the ITP method.
+``reference_classify`` is the grid classifier that the exact event sweep
+of ``curves.classify`` replaced: it reads the verdict off a height profile
+on ``n`` angles, with tangency retries and an ``Indeterminate`` verdict.
 """
 
 import math
 
 import numpy as np
 
+from etau import curves
 from etau.barriers import BoundaryCurve, _segments
 
 
@@ -90,3 +94,61 @@ def reference_bisect(g, lo: float, hi: float, target: float = 0.0, tol: float = 
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def _runs_of(mask: np.ndarray) -> list[tuple[int, int]]:
+    # maximal circular runs of True, as (start, length)
+    n = len(mask)
+    if mask.all():
+        return [(0, n)]
+    if not mask.any():
+        return []
+    runs = []
+    idx = np.flatnonzero(mask)
+    start = idx[0]
+    prev = idx[0]
+    for i in idx[1:]:
+        if i == prev + 1:
+            prev = i
+            continue
+        runs.append((start, prev - start + 1))
+        start = prev = i
+    runs.append((start, prev - start + 1))
+    # merge a run ending at n-1 with one starting at 0 across the seam
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][0] + runs[-1][1] == n:
+        s, ln = runs.pop()
+        first = runs.pop(0)
+        runs.append((s, ln + first[1]))
+    return runs
+
+
+def reference_classify(amb, curve, n: int = 720, retries: int = 3):
+    """Grid verdict as ``(value, witness, footprint minimum)``.
+
+    ``value`` is a ``curves.Verdict`` value string or ``"Indeterminate"``.
+    Tall needs every footprint grid angle above the tall threshold; the
+    nonexistence verdict needs two consecutive grid angles below its own.
+    """
+    profile = curves.height_profile(curve, n, retries)
+    thr_tall = curves.tall_threshold(amb)
+    thr_nx = curves.nonexistence_threshold(amb)
+    heights = profile.heights
+    foot = profile.footprint()
+    if profile.flagged.any():
+        flagged = float(profile.angles[int(np.flatnonzero(profile.flagged)[0])])
+        finite = np.isfinite(heights).any()
+        return "Indeterminate", flagged, float(np.nanmin(heights)) if finite else math.inf
+    foot_min = float(heights[foot].min()) if foot.any() else math.inf
+    if foot.any() and bool((heights[foot] > thr_tall).all()):
+        return "Tall", None, foot_min
+    runs = [r for r in _runs_of(foot & (heights < thr_nx)) if r[1] >= 2]
+    if runs:
+        start, length = max(runs, key=lambda r: r[1])
+        if length >= n:
+            return "NonexistenceCondition", (0.0, 2.0 * math.pi), foot_min
+        a0 = float(profile.angles[start])
+        return "NonexistenceCondition", (a0, a0 + (length - 1) * 2.0 * math.pi / n), foot_min
+    if foot.any():
+        offender = int(np.argmin(np.where(foot, heights, np.inf)))
+        return "Short", float(profile.angles[offender]), foot_min
+    return "Short", math.nan, foot_min

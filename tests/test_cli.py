@@ -156,6 +156,10 @@ def test_classify_file_roundtrip(tmp_path, capsys, monkeypatch):
     ang = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
     comps = [(ang, np.zeros(720)), (ang, np.full(720, 5.0))]
     _csvio.write_curve_components(curve_path, comps)
+    rc, out, _ = run(capsys, "classify", "--tau", "0.5", "--curve-file", str(curve_path))
+    assert rc == 0
+    assert "verdict = Tall" in out
+    assert sweeps == []  # the verdict comes from the exact sweep, not a grid
     profile_path = tmp_path / "profile.csv"
     rc, out, _ = run(
         capsys,
@@ -175,7 +179,12 @@ def test_classify_file_roundtrip(tmp_path, capsys, monkeypatch):
     assert columns == ["angle", "height", "crossings", "flagged"]
     assert len(rows) == 180
     assert all(r[2] == "2" for r in rows)
-    assert len(sweeps) == 1  # the profile CSV reuses the classifier's sweep
+    assert len(sweeps) == 1  # one grid sweep, for the profile CSV only
+    rc, _, err = run(
+        capsys, "classify", "--curve-file", str(curve_path), "--grid", "4"
+    )
+    assert rc == 2
+    assert "error:" in err
 
     back = _csvio.read_curve_components(curve_path)
     assert len(back) == 2
@@ -187,6 +196,42 @@ def test_classify_missing_file(tmp_path, capsys):
     rc, _, err = run(capsys, "classify", "--curve-file", str(tmp_path / "nope.csv"))
     assert rc == 2
     assert "error:" in err
+
+
+def test_classify_non_ascii_curve_file(tmp_path, capsys):
+    path = tmp_path / "curve.csv"
+    path.write_bytes(b"# etau-csv curves 1\ncomponent_id,sample_index,theta,t\n0,0,0.0,\xe9\n")
+    rc, out, err = run(capsys, "classify", "--curve-file", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}:3: non-ASCII byte")
+
+
+def test_classify_non_numeric_curve_field(tmp_path, capsys):
+    path = tmp_path / "curve.csv"
+    path.write_text("# etau-csv curves 1\ncomponent_id,sample_index,theta,t\n0,0,abc,0.0\n")
+    rc, out, err = run(capsys, "classify", "--curve-file", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}:3: non-numeric field in '0,0,abc,0.0'")
+
+
+def test_classify_non_numeric_schema_version(tmp_path, capsys):
+    path = tmp_path / "curve.csv"
+    path.write_text("# etau-csv curves x\ncomponent_id,sample_index,theta,t\n0,0,0.0,0.0\n")
+    rc, out, err = run(capsys, "classify", "--curve-file", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}:1: schema version 'x' is not an integer")
+
+
+def test_non_ascii_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"tau = 0.5\nd = 2.0 # \xc3\xa9\n")
+    rc, out, err = run(capsys, "catenoid-height", "--config", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {cfg}:2: non-ASCII byte")
 
 
 def test_rectangle_placement(tmp_path, capsys):

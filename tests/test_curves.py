@@ -1,12 +1,15 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from etau import barriers as bar
+from etau import catenoid
 from etau import curves as cur
 from etau.errors import DomainError, UsageError
 from etau.models import AmbientSpace, BoundaryPoint
+from reference_checks import reference_classify
 
 
 def ellipse_loop(theta_c, a, b, n=256):
@@ -105,9 +108,7 @@ def test_rectangle_profile_and_verdict():
     assert outcome.verdict is cur.Verdict.TALL
     assert outcome.footprint_min_height == pytest.approx(rect.h, abs=1e-9)
 
-    total = cur.global_height(curve)
-    assert total.value == pytest.approx(rect.h, abs=1e-6)
-    assert not total.flagged_near_argmin
+    assert cur.global_height(curve) == pytest.approx(rect.h, abs=1e-9)
 
 
 def test_vertical_edge_raises_tangency():
@@ -190,6 +191,36 @@ def test_nonexistence_arc_witness():
     assert a == pytest.approx(edge, abs=0.02)
     assert b == pytest.approx(2.0 * math.pi - edge, abs=0.02)
     assert outcome.footprint_min_height == pytest.approx(1.7, abs=1e-4)
+
+
+def dip_curve():
+    """Circle at t = 0 under a loop at t = 4 with a triangular dip to 2.5.
+
+    Both loops have 20,000 samples.  The dip is 0.004 rad wide and centred
+    between grid angles 100 and 101 of 720, so no grid angle sees it.
+    """
+    centre = 100.5 * 2.0 * math.pi / 720
+    ang = np.linspace(0.0, 2.0 * math.pi, 20000, endpoint=False)
+    off = np.abs((ang - centre + math.pi) % (2.0 * math.pi) - math.pi)
+    t = np.where(off < 0.002, 2.5 + 1.5 * off / 0.002, 4.0)
+    lower = bar.BoundaryCurve((BoundaryPoint(a, 0.0) for a in ang), closed=True)
+    upper = bar.BoundaryCurve((BoundaryPoint(a, v) for a, v in zip(ang, t)), closed=True)
+    return cur.AsymptoticCurve([lower, upper]), float(t.min()), centre
+
+
+def test_narrow_dip_between_grid_angles():
+    curve, lowest, centre = dip_curve()
+    # at tau = 0 both thresholds are pi, and the dip goes below it
+    nx = cur.classify(AmbientSpace(0.0), curve)
+    assert nx.verdict is cur.Verdict.NONEXISTENCE
+    a, b = nx.witness
+    assert centre - 0.002 < a < b < centre + 0.002
+    assert nx.footprint_min_height == pytest.approx(lowest, abs=1e-12)
+    short = cur.classify(AmbientSpace(0.3), curve)
+    assert short.verdict is cur.Verdict.SHORT
+    assert abs(short.witness - centre) < 0.002
+    assert short.footprint_min_height == pytest.approx(lowest, abs=1e-12)
+    assert cur.global_height(curve) == pytest.approx(lowest, abs=1e-12)
 
 
 def test_verdict_stable_under_grid_refinement():
@@ -365,3 +396,69 @@ def test_sweep_matches_reference_crossing_loop(case):
                 cur.height_at(curve, p)
             continue
         assert cur.vertical_line_crossings(curve, p) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _classifier_cases():
+    # (ambient, curve, grid) for every curve the classifier tests use
+    cases = []
+    for tau in (0.0, 0.1, 0.5, 1.0):
+        amb = AmbientSpace(tau)
+        thr = cur.tall_threshold(amb)
+        for heights in ([0.0, thr * 1.001], [0.0, thr * 0.999], [0.0, thr * 0.999, thr * 2.0]):
+            cases.append((amb, cur.parallel_circles(heights), 360))
+    for fn in (math.sin, lambda th: 0.0, lambda th: 0.5 + 0.3 * math.sin(3.0 * th)):
+        cases.append((AmbientSpace(0.5), cur.graph_curve(fn), 360))
+    cases.append((AmbientSpace(0.0), cur.graph_curve(math.sin), 720))
+    for tau in (1.0 / math.sqrt(12.0), 0.3, 0.5, 1.0):
+        cases.append((AmbientSpace(tau), cur.parallel_circles([0.0, 0.05]), 360))
+    for tau, top in ((0.5, 5.0), (0.5, 4.0), (0.1, 1.5), (0.3, 0.5), (0.0, 3.0), (0.0, 4.0)):
+        cases.append((AmbientSpace(tau), cur.parallel_circles([0.0, top]), 180))
+    amb = AmbientSpace(0.5)
+    rect = bar.place_rectangle(amb, 1.0, 1.6, 0.0, 2.0 * math.pi * math.sqrt(2.0))
+    cases.append((amb, cur.AsymptoticCurve([bar.rectangle_boundary(rect, 160)]), 720))
+    for rotation, offset in ((0.0, 0.0), (2.1, -3.3)):
+        moved = bar.TallRectangleBoundary(
+            amb, h=6.0, r=0.25, rotation=rotation, vertical_offset=offset
+        )
+        curve = cur.AsymptoticCurve([bar.rectangle_boundary(moved, 160)])
+        cases.append((amb, curve, 720))
+    cases.append((amb, cur.parallel_circles([0.0, 2.0, 100.0]), 90))
+    wavy = cur.graph_curve(lambda th: 2.5 + 0.8 * math.cos(th)).components
+    arc = cur.AsymptoticCurve(list(cur.graph_curve(lambda th: 0.0).components) + list(wavy))
+    cases.append((AmbientSpace(0.1), arc, 720))
+    # loops with folds, where the height tends to 0 at the turning angle
+    for tau in (0.1, 0.5):
+        for curve, _ in _reference_cases()[2:4]:
+            cases.append((AmbientSpace(tau), curve, 720))
+    for tau in (0.0, 0.4, 1.2):
+        amb = AmbientSpace(tau)
+        sup = catenoid.asymptotic_height_supremum(amb)
+        for frac in (0.1, 0.5, 0.9):
+            d = catenoid.neck_parameter_for_height(amb, frac * sup)
+            pair = cur.AsymptoticCurve(bar.catenoid_asymptotic_circles(amb, d))
+            cases.append((amb, pair, 360))
+    return tuple(cases)
+
+
+@pytest.mark.parametrize("case", range(len(_classifier_cases())))
+def test_sweep_verdict_matches_grid_reference(case):
+    amb, curve, n = _classifier_cases()[case]
+    got = cur.classify(amb, curve, n=n)
+    verdict, _, grid_min = reference_classify(amb, curve, n)
+    assert got.verdict.value == verdict
+    # the grid only samples the height, so it never goes below the infimum
+    assert got.footprint_min_height <= grid_min + 1e-12
+
+
+@pytest.mark.parametrize("case", range(len(_classifier_cases())))
+def test_sweep_infimum_bounds_sampled_heights(case):
+    _, curve, _ = _classifier_cases()[case]
+    low, at, side = cur._infimum(*cur._gaps(curve)[:4])
+    assert cur.global_height(curve) == low
+    rng = np.random.default_rng(1100 + case)
+    heights = [cur.height_at(curve, float(p)) for p in rng.uniform(0.0, 2.0 * math.pi, 2000)]
+    assert min(heights) >= low - 1e-12
+    if math.isfinite(low):
+        # 2e-9 inside the argmin cell, just past height_at's 1e-9 vertex tolerance
+        assert cur.height_at(curve, at + side * 2e-9) == pytest.approx(low, abs=1e-6)
