@@ -1,15 +1,14 @@
 """Mesh area/gradient kernel.
 
-``evaluate`` and ``area_and_grad`` are the numpy kernel of
-:mod:`.mesh_numpy`.  The Plateau solver calls ``evaluate`` through this
-module attribute, once per line-search candidate, and takes the gradient
-from the accepted evaluation's ``gradient()``; a caller may wrap
-``evaluate`` (to count or time the solver's kernel work) by replacing the
-attribute.  ``area_and_grad`` is ``evaluate`` plus an optional
-``gradient()``, for callers that want both at once.  ``vertical_graph``
-builds the kernel of a mesh whose vertices move only in t; the solver
-builds it once per vertical solve, through this module attribute, and
-calls its ``evaluate`` in place of ``evaluate``.
+``plan`` and ``area_and_grad`` are the numpy kernel of :mod:`.mesh_numpy`.
+The Plateau solver builds one plan per solve through the ``plan`` module
+attribute, free or (``vertical=True``) for a mesh whose vertices move
+only in t.  It calls the plan's ``evaluate`` once per line-search
+candidate and takes the gradient from the accepted evaluation's
+``gradient()``.  A caller may wrap ``plan``, and the ``evaluate`` of the
+plan it returns, by replacing the attribute, to count or time the
+solver's kernel work.  ``area_and_grad`` is a one-shot free plan plus an
+optional ``gradient()``, for callers that want both at once.
 
 ``ACTIVE_BACKEND``, ``available_backends`` and ``get_backend`` name the
 single kernel for ``perfbench``, which records and times kernels by
@@ -21,18 +20,16 @@ from __future__ import annotations
 from . import mesh_numpy
 
 __all__ = [
-    "evaluate",
+    "plan",
     "area_and_grad",
-    "vertical_graph",
     "ACTIVE_BACKEND",
     "available_backends",
     "get_backend",
 ]
 
 ACTIVE_BACKEND = "numpy"
-evaluate = mesh_numpy.evaluate
+plan = mesh_numpy.plan
 area_and_grad = mesh_numpy.area_and_grad
-vertical_graph = mesh_numpy.vertical_graph
 
 
 def available_backends() -> tuple[str, ...]:

@@ -7,9 +7,10 @@ with respect to interior vertex positions drives a gradient descent
 with backtracking line search, so the area history is non-increasing by
 construction.  Steps that would push a vertex onto the degenerate
 model boundary ``x^2 + y^2 = 1`` or collapse a triangle are rejected
-and retried shorter.  A mesh that spans its boundary as a vertical graph
-``t = u(x, y)`` can be solved as one (``vertical=True``): its vertices
-then move only in t, and the kernel's metric is computed once per mesh.
+and retried shorter.  Each solve builds one kernel plan for its mesh.  A
+mesh that spans its boundary as a vertical graph ``t = u(x, y)`` can be
+solved as one (``vertical=True``): its vertices then move only in t, and
+the plan computes the metric once per mesh.
 
 Topology never changes during a solve.  The connected-versus-disks
 experiment therefore races two fixed topologies spanning the same pair
@@ -88,8 +89,8 @@ class TriMesh:
     ``vertices`` is ``(n, 3)`` float64, ``triangles`` ``(m, 3)`` int64
     with consistent orientation, ``boundary_mask`` ``(n,)`` bool.  When
     the mask is omitted it is derived from the topology (vertices of
-    edges incident to exactly one triangle).  Vertices must stay
-    strictly inside the unit disk by the barrier margin.
+    edges incident to exactly one triangle).  Vertices must be finite
+    and stay strictly inside the unit disk by the barrier margin.
     """
 
     def __init__(
@@ -106,6 +107,10 @@ class TriMesh:
             raise DomainError("triangles must have shape (m, 3) with m >= 1")
         if t.min() < 0 or t.max() >= len(v):
             raise DomainError("triangle indices out of range")
+        nonfinite = np.flatnonzero(~np.isfinite(v).all(axis=1))
+        if nonfinite.size:
+            k = int(nonfinite[0])
+            raise DomainError(f"vertex {k} is not finite: {tuple(v[k].tolist())!r}")
         r2 = v[:, 0] ** 2 + v[:, 1] ** 2
         if not (r2 < 1.0 - DISK_BARRIER).all():
             raise DomainError(
@@ -169,8 +174,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.max_iterations <= 0:
             raise UsageError("max_iterations must be positive")
-        if self.gradient_tol <= 0.0:
-            raise UsageError("gradient_tol must be positive")
+        if not 0.0 < self.gradient_tol < math.inf:
+            raise UsageError("gradient_tol must be positive and finite")
         if self.refinement_levels < 0:
             raise UsageError("refinement_levels must be nonnegative")
 
@@ -236,15 +241,15 @@ def minimize(
 
     A trial step is rejected (and shortened) when it fails the Armijo
     decrease, moves an interior vertex past the disk barrier, or newly
-    degenerates a triangle.  Each candidate that passes the barrier is
-    evaluated once, through ``_kernels.evaluate``; the gradient is
-    finished from the evaluation of the start and of each accepted step.
-    The input mesh is left untouched.
+    degenerates a triangle.  One kernel plan is built per call, through
+    ``_kernels.plan``; each candidate that passes the barrier is evaluated
+    once, through the plan's ``evaluate``, and the gradient is finished
+    from the evaluation of the start and of each accepted step.  The input
+    mesh is left untouched.
 
     With ``vertical`` the mesh is solved as a vertical graph
-    ``t = u(x, y)``: the interior vertices move only in t, and x and y
-    are returned bit for bit as given.  The same loop then evaluates
-    through ``_kernels.vertical_graph``, built once from the mesh, whose
+    ``t = u(x, y)``: the plan is vertical, so the interior vertices move
+    only in t, and x and y are returned bit for bit as given.  Its
     gradient has zero x and y columns; ``converged`` means that the
     t-gradient norm fell below the tolerance.
     """
@@ -253,16 +258,11 @@ def minimize(
         raise DomainError("mesh has no fixed boundary vertices")
     if mesh.boundary_mask.all():
         raise DomainError("mesh has no interior vertices to move")
-    tau = amb.tau
     v = mesh.vertices.copy()
     tri = mesh.triangles
     fixed = mesh.boundary_mask
     free = ~fixed
-    if vertical:
-        evaluate = _kernels.vertical_graph(tau, v, tri).evaluate
-    else:
-        def evaluate(vertices):
-            return _kernels.evaluate(tau, vertices, tri)
+    evaluate = _kernels.plan(amb.tau, v, tri, vertical=vertical).evaluate
 
     # an evaluation stays alive until the next one replaces it: freeing it
     # first lets the allocator hand its pages back to the system, and the

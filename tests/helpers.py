@@ -1,7 +1,10 @@
-"""Shared finite-difference and curve helpers for the test suite."""
+"""Shared finite-difference, curve and kernel-counting helpers for the test suite."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
+from etau import _kernels
 from etau.barriers import BoundaryCurve
 from etau.models import BoundaryPoint
 
@@ -46,3 +49,42 @@ def dense_polyline(corners, closed, step=0.008):
     if not closed:
         pts.append(BoundaryPoint(*corners[-1]))
     return BoundaryCurve(pts, closed)
+
+
+class _CountedEvaluation:
+    def __init__(self, ev, record):
+        self._ev = ev
+        self._record = record
+        self.tri_areas = ev.tri_areas
+        self.degenerate = ev.degenerate
+
+    def gradient(self):
+        self._record["gradients"] += 1
+        return self._ev.gradient()
+
+
+def record_plans(monkeypatch, wrap=None):
+    """Wrap ``etau._kernels.plan`` and the ``evaluate`` of every plan it builds.
+
+    Returns a list with one record per plan built: its ``vertical`` flag,
+    the vertices of each ``evaluate`` call (``candidates``) and the count
+    of ``gradient()`` calls on its evaluations (``gradients``).  When
+    given, ``wrap(ev, k)`` replaces the plan's ``k``-th evaluation.
+    """
+    plans = []
+    plan = _kernels.plan
+
+    def recording_plan(tau, vertices, triangles, *, vertical=False):
+        inner = plan(tau, vertices, triangles, vertical=vertical)
+        record = {"vertical": vertical, "candidates": [], "gradients": 0}
+        plans.append(record)
+
+        def evaluate(v):
+            record["candidates"].append(np.array(v))
+            ev = _CountedEvaluation(inner.evaluate(v), record)
+            return ev if wrap is None else wrap(ev, len(record["candidates"]) - 1)
+
+        return SimpleNamespace(evaluate=evaluate)
+
+    monkeypatch.setattr(_kernels, "plan", recording_plan)
+    return plans

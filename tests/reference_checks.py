@@ -9,14 +9,21 @@ same booleans.  ``reference_bisect`` is the plain bisection that
 ``reference_classify`` is the grid classifier that the exact event sweep
 of ``curves.classify`` replaced: it reads the verdict off a height profile
 on ``n`` angles, with tangency retries and an ``Indeterminate`` verdict.
+``reference_kernel_evaluate`` (with its ``reference_scatter``) and
+``reference_vertical_graph`` are the free-vertex and vertical-graph mesh
+kernels that one ``_kernels.plan`` replaced; a plan must give the same
+areas, flags and gradients bit for bit.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from etau import curves
+from etau._kernels.mesh_numpy import _DEGEN_REL
 from etau.barriers import BoundaryCurve, _segments
+from etau.models import fiber_form
 
 
 def reference_is_simple(curve: BoundaryCurve, tol: float = 1e-12, block: int = 512) -> bool:
@@ -152,3 +159,163 @@ def reference_classify(amb, curve, n: int = 720, retries: int = 3):
         offender = int(np.argmin(np.where(foot, heights, np.inf)))
         return "Short", float(profile.angles[offender]), foot_min
     return "Short", math.nan, foot_min
+
+
+def reference_gram_areas(q11, q12, q22):
+    """Areas ``0.5·sqrt(det)``, degeneracy flags and ``sqrt(det)`` (1 where degenerate)."""
+    p = q11 * q22
+    r = q12 * q12
+    det = p - r
+    scale = p + r
+    degenerate = (det <= _DEGEN_REL * scale) | (scale == 0.0)
+    root = np.sqrt(np.where(degenerate, 1.0, det))
+    return np.where(degenerate, 0.0, 0.5 * root), degenerate, root
+
+
+class ReferenceEvaluation:
+    """One reference kernel evaluation; ``gradient()`` scatters ``_terms()``."""
+
+    __slots__ = ("tri_areas", "degenerate", "_terms", "_scatter")
+
+    def __init__(self, tri_areas, degenerate, terms, scatter) -> None:
+        self.tri_areas = tri_areas
+        self.degenerate = degenerate
+        self._terms = terms
+        self._scatter = scatter
+
+    def gradient(self) -> np.ndarray:
+        return self._scatter(*self._terms())
+
+
+def reference_kernel_evaluate(tau: float, vertices: np.ndarray, triangles: np.ndarray):
+    """Per-triangle areas and flags of the free-vertex kernel, keeping its
+    gradient terms ``(edge1, edge2, pos_x, pos_y)``: the derivative of each
+    triangle's area along its two edge vectors, and a third of its
+    derivative along the barycenter's base coordinates."""
+    v = np.asarray(vertices, dtype=np.float64)
+    tri = np.asarray(triangles)
+    # x[k], y[k], t[k]: the coordinates of every triangle's corner k
+    x, y, t = np.take(v.T, tri.T, axis=1)
+    e1x, e1y, e1t = x[1] - x[0], y[1] - y[0], t[1] - t[0]
+    e2x, e2y, e2t = x[2] - x[0], y[2] - y[0], t[2] - t[0]
+    cx = (x[0] + x[1] + x[2]) / 3.0
+    cy = (y[0] + y[1] + y[2]) / 3.0
+
+    lam, a, b = fiber_form(tau, cx, cy)
+    lam2 = lam * lam
+    d11 = e1x * e1x + e1y * e1y
+    d12 = e1x * e2x + e1y * e2y
+    d22 = e2x * e2x + e2y * e2y
+    s1 = (a * e1x + b * e1y) + e1t
+    s2 = (a * e2x + b * e2y) + e2t
+    q11 = lam2 * d11 + s1 * s1
+    q12 = lam2 * d12 + s1 * s2
+    q22 = lam2 * d22 + s2 * s2
+    tri_areas, degenerate, root = reference_gram_areas(q11, q12, q22)
+
+    def terms():
+        factor = np.where(degenerate, 0.0, 0.5 / root)
+        u1 = s1 * q22 - s2 * q12
+        u2 = s2 * q11 - s1 * q12
+        edge1 = np.array(
+            [lam2 * (q22 * e1x - q12 * e2x) + a * u1, lam2 * (q22 * e1y - q12 * e2y) + b * u1, u1]
+        )
+        edge2 = np.array(
+            [lam2 * (q11 * e2x - q12 * e1x) + a * u2, lam2 * (q11 * e2y - q12 * e1y) + b * u2, u2]
+        )
+        dd = q22 * d11 + q11 * d22 - 2.0 * q12 * d12
+        wx = e1x * u1 + e2x * u2
+        wy = e1y * u1 + e2y * u2
+        dlam_dx = lam2 * cx
+        dlam_dy = lam2 * cy
+        da_dx = 2.0 * tau * cy * dlam_dx
+        da_dy = 2.0 * tau * (lam + cy * dlam_dy)
+        db_dx = -2.0 * tau * (lam + cx * dlam_dx)
+        db_dy = -2.0 * tau * cx * dlam_dy
+        pos_x = lam * dlam_dx * dd + da_dx * wx + db_dx * wy
+        pos_y = lam * dlam_dy * dd + da_dy * wx + db_dy * wy
+        return (factor * edge1).T, (factor * edge2).T, factor * pos_x / 3.0, factor * pos_y / 3.0
+
+    return ReferenceEvaluation(
+        tri_areas,
+        degenerate.astype(np.uint8),
+        terms,
+        functools.partial(reference_scatter, len(v), tri),
+    )
+
+
+def reference_scatter(n, tri, edge1, edge2, pos_x, pos_y) -> np.ndarray:
+    """Vertex ``tri[:, 1]`` receives ``edge1``, ``tri[:, 2]`` ``edge2``,
+    ``tri[:, 0]`` ``-(edge1 + edge2)``, and all three the position term,
+    by one ``bincount`` per column over a freshly built index."""
+    m = len(tri)
+    idx = np.concatenate([tri[:, 1], tri[:, 2], tri[:, 0], tri[:, 0], tri[:, 1], tri[:, 2]])
+    edge0 = -(edge1 + edge2)
+    grad = np.empty((n, 3))
+    for k, pos in ((0, pos_x), (1, pos_y)):
+        w = np.concatenate([edge1[:, k], edge2[:, k], edge0[:, k], pos, pos, pos])
+        grad[:, k] = np.bincount(idx, w, n)
+    w = np.concatenate([edge1[:, 2], edge2[:, 2], edge0[:, 2]])
+    grad[:, 2] = np.bincount(idx[: 3 * m], w, n)
+    return grad
+
+
+class ReferenceVerticalGraph:
+    """The vertical-graph kernel: ``q_ij = P_ij + s_i s_j`` with
+    ``s_i = c_i + Δt_i``, on base parts computed once from the mesh."""
+
+    __slots__ = ("_n", "_idx", "_i0", "_i1", "_i2", "_p11", "_p12", "_p22", "_c1", "_c2")
+
+    def __init__(self, n, idx, p11, p12, p22, c1, c2) -> None:
+        m = len(p11)
+        self._n = n
+        self._idx = idx
+        self._i1, self._i2, self._i0 = idx[:m], idx[m : 2 * m], idx[2 * m :]
+        self._p11, self._p12, self._p22 = p11, p12, p22
+        self._c1, self._c2 = c1, c2
+
+    def evaluate(self, vertices: np.ndarray) -> ReferenceEvaluation:
+        t = np.asarray(vertices, dtype=np.float64)[:, 2]
+        t0 = t[self._i0]
+        s1 = self._c1 + (t[self._i1] - t0)
+        s2 = self._c2 + (t[self._i2] - t0)
+        q11 = self._p11 + s1 * s1
+        q12 = self._p12 + s1 * s2
+        q22 = self._p22 + s2 * s2
+        tri_areas, degenerate, root = reference_gram_areas(q11, q12, q22)
+
+        def terms():
+            factor = np.where(degenerate, 0.0, 0.5 / root)
+            return factor * (s1 * q22 - s2 * q12), factor * (s2 * q11 - s1 * q12)
+
+        return ReferenceEvaluation(tri_areas, degenerate.astype(np.uint8), terms, self._scatter)
+
+    def _scatter(self, dt1: np.ndarray, dt2: np.ndarray) -> np.ndarray:
+        grad = np.zeros((self._n, 3))
+        w = np.concatenate([dt1, dt2, -(dt1 + dt2)])
+        grad[:, 2] = np.bincount(self._idx, w, self._n)
+        return grad
+
+
+def reference_vertical_graph(tau: float, vertices: np.ndarray, triangles: np.ndarray):
+    """The vertical-graph kernel of a mesh, built once from its (x, y)."""
+    v = np.asarray(vertices, dtype=np.float64)
+    tri = np.asarray(triangles)
+    p0 = v[tri[:, 0]]
+    p1 = v[tri[:, 1]]
+    p2 = v[tri[:, 2]]
+    cx = (p0[:, 0] + p1[:, 0] + p2[:, 0]) / 3.0
+    cy = (p0[:, 1] + p1[:, 1] + p2[:, 1]) / 3.0
+    lam, a, b = fiber_form(tau, cx, cy)
+    lam2 = lam * lam
+    e1x, e1y = p1[:, 0] - p0[:, 0], p1[:, 1] - p0[:, 1]
+    e2x, e2y = p2[:, 0] - p0[:, 0], p2[:, 1] - p0[:, 1]
+    return ReferenceVerticalGraph(
+        len(v),
+        np.concatenate([tri[:, 1], tri[:, 2], tri[:, 0]]),
+        lam2 * (e1x * e1x + e1y * e1y),
+        lam2 * (e1x * e2x + e1y * e2y),
+        lam2 * (e2x * e2x + e2y * e2y),
+        a * e1x + b * e1y,
+        a * e2x + b * e2y,
+    )

@@ -301,6 +301,14 @@ def test_plateau_disk(tmp_path, capsys):
     assert (tmp_path / "mesh_disk.off").exists()
 
 
+def test_plateau_rejects_non_finite_gradient_tol(capsys):
+    for tol in ("inf", "nan"):
+        rc, out, err = run(capsys, "plateau", "--disk", "2", "--gradient-tol", tol)
+        assert rc == 2
+        assert out == ""
+        assert "error: gradient_tol must be positive and finite" in err
+
+
 def test_plateau_race(tmp_path, capsys):
     out_path = tmp_path / "race.csv"
     rc, out, _ = run(

@@ -1,9 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+
+from helpers import record_plans
+from reference_checks import reference_kernel_evaluate, reference_scatter, reference_vertical_graph
 
 from etau import _kernels
 from etau import plateau
 from etau._kernels import mesh_numpy
+from etau.catenoid import (
+    CatenoidProfile,
+    TruncatedCatenoid,
+    annulus_vertex_grid,
+    connected_boundary_for_height,
+)
 from etau.models import AmbientSpace, CylinderPoint, fiber_form, metric_cylinder
 
 
@@ -48,8 +59,8 @@ def test_kernel_area_uses_the_model_metric():
 
 
 def add_at_gradient(tau, vertices, triangles):
-    """The numpy kernel's gradient, scattered by six successive np.add.at calls."""
-    edge1, edge2, pos_x, pos_y = mesh_numpy.evaluate(tau, vertices, triangles)._terms()
+    """The reference kernel's gradient, scattered by six successive np.add.at calls."""
+    edge1, edge2, pos_x, pos_y = reference_kernel_evaluate(tau, vertices, triangles)._terms()
     grad = np.zeros_like(vertices)
     np.add.at(grad, triangles[:, 1], edge1)
     np.add.at(grad, triangles[:, 2], edge2)
@@ -147,7 +158,7 @@ def reference_evaluate(tau, vertices, triangles):
 
     dd_x = position_term(dlam_dx, da_dx, db_dx)
     dd_y = position_term(dlam_dy, da_dy, db_dy)
-    grad = mesh_numpy._scatter(
+    grad = reference_scatter(
         len(v),
         tri,
         factor[:, None] * dd_e1,
@@ -167,7 +178,7 @@ def test_factored_kernel_matches_full_metric_reference():
         v, tri = mesh.vertices, mesh.triangles
         for tau in (0.0, 0.3, 1.0):
             areas, degen, grad = reference_evaluate(tau, v, tri)
-            ev = _kernels.evaluate(tau, v, tri)
+            ev = _kernels.plan(tau, v, tri).evaluate(v)
             np.testing.assert_array_equal(ev.degenerate, degen)
             np.testing.assert_allclose(ev.tri_areas, areas, rtol=1e-13, atol=0.0)
             assert np.abs(ev.gradient() - grad).max() <= 1e-12 * np.abs(grad).max()
@@ -177,7 +188,7 @@ def test_evaluation_gradient_matches_area_and_grad_exactly():
     for mesh in sample_meshes():
         for tau in (0.0, 0.3, 1.0):
             areas, degen, grad = _kernels.area_and_grad(tau, mesh.vertices, mesh.triangles, True)
-            ev = _kernels.evaluate(tau, mesh.vertices, mesh.triangles)
+            ev = _kernels.plan(tau, mesh.vertices, mesh.triangles).evaluate(mesh.vertices)
             np.testing.assert_array_equal(ev.tri_areas, areas)
             np.testing.assert_array_equal(ev.degenerate, degen)
             assert ev.degenerate.dtype == degen.dtype == np.uint8
@@ -249,30 +260,13 @@ def test_minimize_matches_two_call_reference_exactly():
 
 
 def test_minimize_computes_gradient_only_at_accepted_steps(monkeypatch):
-    counts = {"evaluate": 0, "gradient": 0, "area_and_grad": 0}
-    candidates = []
-    evaluate = _kernels.evaluate
-
-    class CountingEvaluation:
-        def __init__(self, ev):
-            self._ev = ev
-            self.tri_areas = ev.tri_areas
-            self.degenerate = ev.degenerate
-
-        def gradient(self):
-            counts["gradient"] += 1
-            return self._ev.gradient()
-
-    def counting_evaluate(tau, vertices, triangles):
-        counts["evaluate"] += 1
-        candidates.append(np.array(vertices))
-        return CountingEvaluation(evaluate(tau, vertices, triangles))
+    counts = {"area_and_grad": 0}
 
     def forbidden(*args, **kwargs):
         counts["area_and_grad"] += 1
         return mesh_numpy.area_and_grad(*args, **kwargs)
 
-    monkeypatch.setattr(_kernels, "evaluate", counting_evaluate)
+    plans = record_plans(monkeypatch)
     monkeypatch.setattr(_kernels, "area_and_grad", forbidden)
     mesh = sample_meshes()[1]
     _, rep = plateau.minimize(
@@ -280,9 +274,12 @@ def test_minimize_computes_gradient_only_at_accepted_steps(monkeypatch):
     )
     assert len(rep.area_history) > 1
     assert counts["area_and_grad"] == 0
+    # one free plan per solve
+    assert [p["vertical"] for p in plans] == [False]
+    candidates = plans[0]["candidates"]
     # a gradient at the start, then one per accepted step
-    assert counts["gradient"] == rep.gradients == len(rep.area_history)
-    assert counts["evaluate"] == rep.evaluations
+    assert plans[0]["gradients"] == rep.gradients == len(rep.area_history)
+    assert len(candidates) == rep.evaluations
     # no candidate that passes the barrier is evaluated twice
     assert len({c.tobytes() for c in candidates}) == len(candidates)
 
@@ -297,40 +294,71 @@ def t_jittered(mesh, seed):
 
 
 def test_vertical_graph_matches_evaluate():
+    # both cases of a plan share one arithmetic path, so they agree exactly
     for k, base in enumerate(sample_meshes()):
         mesh = t_jittered(base, k)
         v, tri = mesh.vertices, mesh.triangles
         for tau in (0.0, 0.3, 1.0):
-            ev = _kernels.evaluate(tau, v, tri)
-            gv = _kernels.vertical_graph(tau, v, tri).evaluate(v)
+            ev = _kernels.plan(tau, v, tri).evaluate(v)
+            gv = _kernels.plan(tau, v, tri, vertical=True).evaluate(v)
             np.testing.assert_array_equal(gv.tri_areas, ev.tri_areas)
             np.testing.assert_array_equal(gv.degenerate, ev.degenerate)
             assert gv.degenerate.dtype == np.uint8
             grad, graph_grad = ev.gradient(), gv.gradient()
             assert not graph_grad[:, :2].any()
-            scale = np.abs(grad[:, 2]).max()
-            assert np.abs(graph_grad[:, 2] - grad[:, 2]).max() <= 1e-13 * scale
+            np.testing.assert_array_equal(graph_grad[:, 2], grad[:, 2])
 
 
-def test_vertical_minimize_never_calls_evaluate(monkeypatch):
-    counts = {"evaluate": 0, "vertical_graph": 0}
-    vertical_graph = _kernels.vertical_graph
+def race_meshes():
+    """The race's default annulus (15,360 triangles) and disk pair (30,400)
+    at (τ, h) = (0.1, 1.2)."""
+    amb = AmbientSpace(0.1)
+    h = 1.2
+    analytic = connected_boundary_for_height(amb, h)
+    trunc = TruncatedCatenoid(CatenoidProfile(amb, analytic.d), analytic.R)
+    annulus = plateau.mesh_from_grid(annulus_vertex_grid(trunc, 49, 160))
+    disks = plateau._two_disk_mesh(math.tanh(0.5 * analytic.R), h, 48, 160)
+    return annulus, disks
 
-    def forbidden(*args, **kwargs):
-        counts["evaluate"] += 1
-        return mesh_numpy.evaluate(*args, **kwargs)
 
-    def counting_graph(*args, **kwargs):
-        counts["vertical_graph"] += 1
-        return vertical_graph(*args, **kwargs)
+def assert_same_evaluation(ev, ref):
+    np.testing.assert_array_equal(ev.tri_areas, ref.tri_areas)
+    np.testing.assert_array_equal(ev.degenerate, ref.degenerate)
+    assert ev.degenerate.dtype == ref.degenerate.dtype == np.uint8
+    np.testing.assert_array_equal(ev.gradient(), ref.gradient())
 
-    monkeypatch.setattr(_kernels, "evaluate", forbidden)
-    monkeypatch.setattr(_kernels, "vertical_graph", counting_graph)
+
+def test_plan_matches_reference_kernels_exactly():
+    meshes = sample_meshes()
+    meshes += [t_jittered(mesh, k) for k, mesh in enumerate(meshes)]
+    annulus, disks = race_meshes()
+    assert (len(annulus.triangles), len(disks.triangles)) == (15360, 30400)
+    meshes += [annulus, disks]
+    for k, mesh in enumerate(meshes):
+        v, tri = mesh.vertices, mesh.triangles
+        # a vertical plan is evaluated at heights other than those it was built at
+        moved = t_jittered(mesh, 100 + k).vertices
+        for tau in (0.0, 0.3, 1.0):
+            assert_same_evaluation(
+                _kernels.plan(tau, v, tri).evaluate(v), reference_kernel_evaluate(tau, v, tri)
+            )
+            assert_same_evaluation(
+                _kernels.plan(tau, v, tri, vertical=True).evaluate(moved),
+                reference_vertical_graph(tau, v, tri).evaluate(moved),
+            )
+
+
+def test_vertical_minimize_builds_one_vertical_plan(monkeypatch):
+    plans = record_plans(monkeypatch)
     mesh = t_jittered(sample_meshes()[1], 3)
     out, rep = plateau.minimize(
         AmbientSpace(0.3), mesh, plateau.SolverConfig(max_iterations=30), vertical=True
     )
-    assert counts == {"evaluate": 0, "vertical_graph": 1}
+    assert [p["vertical"] for p in plans] == [True]
+    candidates = plans[0]["candidates"]
+    assert plans[0]["gradients"] == rep.gradients == len(rep.area_history)
+    assert len(candidates) == rep.evaluations
+    assert len({c.tobytes() for c in candidates}) == len(candidates)
     assert len(rep.area_history) > 1
     assert (np.diff(rep.area_history) <= 0.0).all()
     np.testing.assert_array_equal(out.vertices[:, :2], mesh.vertices[:, :2])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fd_mesh_gradient
+from helpers import fd_mesh_gradient, record_plans
 
 from etau import _kernels
 from etau import plateau
@@ -88,6 +88,11 @@ def test_trimesh_validation():
     mask = np.zeros(5, dtype=bool)
     with pytest.raises(DomainError):
         plateau.TriMesh(v, np.array([[0, 1, 2]]), mask)
+    for bad in (math.nan, math.inf):
+        w = v.copy()
+        w[2, 2] = bad
+        with pytest.raises(DomainError, match="vertex 2 is not finite"):
+            plateau.TriMesh(w, np.array([[0, 1, 2]]))
 
 
 def test_boundary_detection_and_euler():
@@ -184,28 +189,20 @@ def test_minimize_reports_termination_and_cost():
 def test_minimize_reports_line_search_failure(monkeypatch):
     # every candidate reports more area than the start, so no step passes
     # the Armijo test and the line search gives up after its backtracks
-    evaluate = _kernels.evaluate
-    start = []
-
     class Inflated:
         def __init__(self, ev):
             self.tri_areas = ev.tri_areas + 1.0
             self.degenerate = ev.degenerate
 
-    def inflating(tau, vertices, triangles):
-        ev = evaluate(tau, vertices, triangles)
-        if not start:
-            start.append(True)
-            return ev
-        return Inflated(ev)
-
-    monkeypatch.setattr(_kernels, "evaluate", inflating)
+    plans = record_plans(monkeypatch, lambda ev, k: ev if k == 0 else Inflated(ev))
     mesh = wobbled_disk()
     out, rep = plateau.minimize(AmbientSpace(0.3), mesh)
     assert (rep.termination, rep.converged, rep.iterations) == ("line_search_failed", False, 0)
     assert rep.area_history == (rep.final_area,)
     assert rep.gradients == 1
     assert rep.evaluations == 1 + plateau._MAX_BACKTRACKS
+    assert len(plans) == 1
+    assert len(plans[0]["candidates"]) == rep.evaluations
     np.testing.assert_array_equal(out.vertices, mesh.vertices)
 
 
@@ -222,8 +219,9 @@ def test_minimize_requires_mixed_mask():
 def test_solver_config_validation():
     with pytest.raises(UsageError):
         plateau.SolverConfig(max_iterations=0)
-    with pytest.raises(UsageError):
-        plateau.SolverConfig(gradient_tol=0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(UsageError, match="gradient_tol must be positive and finite"):
+            plateau.SolverConfig(gradient_tol=tol)
     with pytest.raises(UsageError):
         plateau.SolverConfig(refinement_levels=-1)
 
