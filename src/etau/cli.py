@@ -297,9 +297,27 @@ def cmd_plateau(args) -> int:
         _csvio.write_table(
             args.output,
             "plateau-disk",
-            1,
-            ("R", "optimized_area", "closed_form", "rel_error", "iterations", "converged"),
-            [(args.disk, rep.final_area, closed, rel, rep.iterations, rep.converged)],
+            2,
+            (
+                "R",
+                "optimized_area",
+                "closed_form",
+                "rel_error",
+                "iterations",
+                "converged",
+                "termination",
+            ),
+            [
+                (
+                    args.disk,
+                    rep.final_area,
+                    closed,
+                    rel,
+                    rep.iterations,
+                    rep.converged,
+                    rep.termination,
+                )
+            ],
         )
         print(f"disk R = {args.disk!r}: optimized = {rep.final_area!r}")
         print(f"closed form = {closed!r} (rel error {rel!r})")
@@ -318,7 +336,7 @@ def cmd_plateau(args) -> int:
     _csvio.write_table(
         args.output,
         "plateau-compare",
-        1,
+        2,
         (
             "h",
             "d",
@@ -330,6 +348,8 @@ def cmd_plateau(args) -> int:
             "connected_wins",
             "annulus_iterations",
             "disks_iterations",
+            "annulus_termination",
+            "disks_termination",
         ),
         [
             (
@@ -343,6 +363,8 @@ def cmd_plateau(args) -> int:
                 comp.connected_wins,
                 comp.annulus_report.iterations,
                 comp.disks_report.iterations,
+                comp.annulus_report.termination,
+                comp.disks_report.termination,
             )
         ],
     )

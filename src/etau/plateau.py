@@ -7,7 +7,12 @@ with respect to interior vertex positions drives a gradient descent
 with backtracking line search, so the area history is non-increasing by
 construction.  Steps that would push a vertex onto the degenerate
 model boundary ``x^2 + y^2 = 1`` or collapse a triangle are rejected
-and retried shorter.  Each solve builds one kernel plan for its mesh.  A
+and retried shorter.  A solve stops as ``converged`` when the gradient
+norm falls below the tolerance, and as ``stalled`` when its last
+accepted steps have stopped lowering the area (a relative-decrease
+test, far below the mesh's discretization error): a free annulus slides
+its vertices along the surface without ever bringing the gradient norm
+down.  Each solve builds one kernel plan for its mesh.  A
 mesh that spans its boundary as a vertical graph ``t = u(x, y)`` can be
 solved as one (``vertical=True``): its vertices then move only in t, and
 the plan computes the metric once per mesh.
@@ -67,6 +72,16 @@ _INITIAL_STEP = 0.05
 _LINE_SEARCH_SHRINK = 0.5
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
+# stall test of minimize (the relative-decrease stop of L-BFGS-B's ftol):
+# stop when the last _STALL_WINDOW accepted steps lowered the area by less
+# than _STALL_REL * _STALL_WINDOW * area.  5e-8 relative per step sits
+# above the 1-3e-8 at which a free race annulus slides its vertices, so
+# the annulus stops after 10-14 steps within 1e-5 relative of the area
+# that 400 steps reach, far below the default race mesh's discretization
+# error of about 1e-2; a smaller threshold sits on the slide rate and
+# leaves some annuli sliding to the iteration cap
+_STALL_WINDOW = 10
+_STALL_REL = 5e-8
 
 
 def _loop_array(loop) -> np.ndarray:
@@ -188,11 +203,21 @@ class SolveReport:
     every termination.  ``evaluations`` counts kernel evaluations (one per
     line-search candidate that passes the disk barrier, plus the start),
     ``gradients`` the gradients finished from them (the start and each
-    accepted step).
-    ``termination`` is ``"converged"`` (gradient norm below tolerance;
-    for a vertical solve the norm of the t-gradient, the only nonzero
-    column), ``"iteration_cap"`` or ``"line_search_failed"`` (no
-    acceptable step within the backtracking budget).
+    accepted step).  Rejected trial steps are counted by cause:
+    ``rejected_barrier`` (a vertex past the disk barrier; not evaluated),
+    ``rejected_degenerate`` (a triangle newly degenerate) and
+    ``rejected_armijo`` (too little decrease), so ``evaluations == 1 +
+    iterations + rejected_degenerate + rejected_armijo``.
+    ``termination`` is one of
+
+    - ``"converged"``: gradient norm below tolerance; for a vertical
+      solve the norm of the t-gradient, the only nonzero column;
+    - ``"stalled"``: the gradient norm is above tolerance, but the last
+      ``_STALL_WINDOW`` accepted steps lowered the area by less than
+      ``_STALL_REL * _STALL_WINDOW`` times the area; never ``converged``;
+    - ``"iteration_cap"``;
+    - ``"line_search_failed"``: no acceptable step within the
+      backtracking budget.
     """
 
     final_area: float
@@ -204,6 +229,9 @@ class SolveReport:
     evaluations: int
     gradients: int
     termination: str
+    rejected_barrier: int
+    rejected_degenerate: int
+    rejected_armijo: int
 
 
 def discrete_area_report(
@@ -247,6 +275,10 @@ def minimize(
     from the evaluation of the start and of each accepted step.  The input
     mesh is left untouched.
 
+    Before each step the gradient test runs first (``converged``), then
+    the stall test (``stalled``; see :class:`SolveReport`), for free and
+    vertical solves alike.
+
     With ``vertical`` the mesh is solved as a vertical graph
     ``t = u(x, y)``: the plan is vertical, so the interior vertices move
     only in t, and x and y are returned bit for bit as given.  Its
@@ -276,22 +308,31 @@ def minimize(
     gnorm = float(np.linalg.norm(grad))
     step = _INITIAL_STEP
     evaluations = gradients = 1
+    rejected_barrier = rejected_degenerate = rejected_armijo = 0
     termination = "iteration_cap"
 
     for _ in range(cfg.max_iterations):
         if gnorm < cfg.gradient_tol:
             termination = "converged"
             break
+        if (
+            len(history) > _STALL_WINDOW
+            and history[-1 - _STALL_WINDOW] - area < _STALL_REL * _STALL_WINDOW * area
+        ):
+            termination = "stalled"
+            break
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             cand = v - step * grad
             r2 = cand[free, 0] ** 2 + cand[free, 1] ** 2
             if not (r2 < 1.0 - DISK_BARRIER).all():
+                rejected_barrier += 1
                 step *= _LINE_SEARCH_SHRINK
                 continue
             ev = evaluate(cand)
             evaluations += 1
             if int(np.sum(ev.degenerate)) > base_degen:
+                rejected_degenerate += 1
                 step *= _LINE_SEARCH_SHRINK
                 continue
             c_area = float(np.sum(ev.tri_areas))
@@ -306,6 +347,7 @@ def minimize(
                 step = min(step * 2.0, _INITIAL_STEP * 100.0)
                 accepted = True
                 break
+            rejected_armijo += 1
             step *= _LINE_SEARCH_SHRINK
         if not accepted:
             termination = "line_search_failed"
@@ -322,6 +364,9 @@ def minimize(
         evaluations=evaluations,
         gradients=gradients,
         termination=termination,
+        rejected_barrier=rejected_barrier,
+        rejected_degenerate=rejected_degenerate,
+        rejected_armijo=rejected_armijo,
     )
     return out, report
 

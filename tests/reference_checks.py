@@ -12,15 +12,19 @@ on ``n`` angles, with tangency retries and an ``Indeterminate`` verdict.
 ``reference_kernel_evaluate`` (with its ``reference_scatter``) and
 ``reference_vertical_graph`` are the free-vertex and vertical-graph mesh
 kernels that one ``_kernels.plan`` replaced; a plan must give the same
-areas, flags and gradients bit for bit.
+areas, flags and gradients bit for bit.  ``reference_minimize`` is
+``plateau.minimize`` before its stall test: it stops only on the
+gradient norm, the iteration cap or a failed line search, so a solve
+that ``minimize`` ends as ``stalled`` runs on here to one of those.
 """
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from etau import curves
+from etau import _kernels, curves, plateau
 from etau._kernels.mesh_numpy import _DEGEN_REL
 from etau.barriers import BoundaryCurve, _segments
 from etau.models import fiber_form
@@ -319,3 +323,61 @@ def reference_vertical_graph(tau: float, vertices: np.ndarray, triangles: np.nda
         a * e1x + b * e1y,
         a * e2x + b * e2y,
     )
+
+
+@dataclass(frozen=True)
+class ReferenceSolveReport:
+    final_area: float
+    area_history: tuple
+    termination: str
+
+
+def reference_minimize(amb, mesh, config=None, *, vertical=False):
+    """Gradient descent with backtracking that stops only on the gradient
+    norm, the iteration cap or a failed line search; returns the final
+    vertices and a :class:`ReferenceSolveReport`."""
+    cfg = config or plateau.SolverConfig()
+    v = mesh.vertices.copy()
+    fixed = mesh.boundary_mask
+    free = ~fixed
+    evaluate = _kernels.plan(amb.tau, v, mesh.triangles, vertical=vertical).evaluate
+    ev = evaluate(v)
+    area = float(np.sum(ev.tri_areas))
+    base_degen = int(np.sum(ev.degenerate))
+    grad = ev.gradient()
+    grad[fixed] = 0.0
+    history = [area]
+    gnorm = float(np.linalg.norm(grad))
+    step = plateau._INITIAL_STEP
+    termination = "iteration_cap"
+    for _ in range(cfg.max_iterations):
+        if gnorm < cfg.gradient_tol:
+            termination = "converged"
+            break
+        accepted = False
+        for _ in range(plateau._MAX_BACKTRACKS):
+            cand = v - step * grad
+            r2 = cand[free, 0] ** 2 + cand[free, 1] ** 2
+            if not (r2 < 1.0 - plateau.DISK_BARRIER).all():
+                step *= plateau._LINE_SEARCH_SHRINK
+                continue
+            ev = evaluate(cand)
+            if int(np.sum(ev.degenerate)) > base_degen:
+                step *= plateau._LINE_SEARCH_SHRINK
+                continue
+            c_area = float(np.sum(ev.tri_areas))
+            if c_area <= area - plateau._ARMIJO * step * gnorm * gnorm:
+                v = cand
+                area = c_area
+                grad = ev.gradient()
+                grad[fixed] = 0.0
+                gnorm = float(np.linalg.norm(grad))
+                history.append(area)
+                step = min(step * 2.0, plateau._INITIAL_STEP * 100.0)
+                accepted = True
+                break
+            step *= plateau._LINE_SEARCH_SHRINK
+        if not accepted:
+            termination = "line_search_failed"
+            break
+    return v, ReferenceSolveReport(area, tuple(history), termination)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import fd_mesh_gradient
+from reference_checks import reference_minimize
 
 from etau import _csvio, _kernels, catenoid, cli, curves, plateau
 from etau.isometries import (
@@ -51,6 +52,12 @@ def race(tau, h):
     if key not in _RACES:
         _RACES[key] = plateau.compare_connected_vs_disks(AmbientSpace(tau), h)
     return _RACES[key]
+
+
+def uncapped(comp):
+    """Neither solve of a race stopped at the iteration cap."""
+    reports = (comp.annulus_report, comp.disks_report)
+    return all(rep.termination != "iteration_cap" for rep in reports)
 
 
 def random_isometry(rng, max_rapidity=2.0):
@@ -342,8 +349,9 @@ def test_criterion_10_solver_convergence():
         )
         expected = catenoid.disk_area_closed_form(amb, R)
         rel = abs(reports[-1].final_area - expected) / expected
-        disk_ok = disk_ok and rel < 0.01
-        details.append(f"flat disk tau={tau}: rel {rel:.4f}")
+        capped = sum(rep.termination == "iteration_cap" for rep in reports)
+        disk_ok = disk_ok and rel < 0.01 and capped == 0
+        details.append(f"flat disk tau={tau}: rel {rel:.4f}, {capped} levels capped")
 
     comp = race(0.0, 1.0)
     annulus_rel = abs(comp.optimized_annulus_area - comp.analytic.area_catenoid) / (
@@ -353,7 +361,8 @@ def test_criterion_10_solver_convergence():
     disks_rel = abs(comp.optimized_disks_area - pair_closed) / pair_closed
     details.append(f"annulus rel {annulus_rel:.4f}, disks rel {disks_rel:.4f}")
     elapsed = time.perf_counter() - start
-    ok = disk_ok and annulus_rel < 0.02 and disks_rel < 0.01 and elapsed < 600.0
+    ok = disk_ok and uncapped(comp) and annulus_rel < 0.02 and disks_rel < 0.01
+    ok = ok and elapsed < 600.0
     report(10, "solver-convergence", ok, "; ".join(details) + f", {elapsed:.1f} s < 600 s")
 
 
@@ -370,10 +379,20 @@ def test_vertical_graph_disk_refinement_converges():
         interior = ~base.boundary_mask
         base.vertices[interior, 2] += 0.03 * rng.standard_normal(int(interior.sum()))
         cfg = plateau.SolverConfig(refinement_levels=4)
-        _, reports = plateau.minimize_with_refinement(
-            amb, base, cfg, plateau.circle_projector(rho, 0.0), vertical=True
-        )
-        assert [rep.termination for rep in reports] == ["converged"] * 5
+        project = plateau.circle_projector(rho, 0.0)
+        _, reports = plateau.minimize_with_refinement(amb, base, cfg, project, vertical=True)
+        assert all(rep.termination in ("converged", "stalled") for rep in reports)
+        # the same refinement solved to the gradient tolerance at every level
+        mesh = base
+        for level in range(cfg.refinement_levels + 1):
+            v, ref = reference_minimize(amb, mesh, cfg, vertical=True)
+            assert ref.termination == "converged"
+            if level < cfg.refinement_levels:
+                mesh = plateau.subdivide(
+                    plateau.TriMesh(v, mesh.triangles, mesh.boundary_mask), project
+                )
+        gap = abs(reports[-1].final_area - ref.final_area) / ref.final_area
+        assert gap < 1e-6, f"tau={tau}: level-4 area {gap:.2e} from the converged one"
         expected = catenoid.disk_area_closed_form(amb, R)
         rel = abs(reports[-1].final_area - expected) / expected
         assert rel < 5e-4, f"tau={tau}: level-4 rel error {rel:.2e}"
@@ -388,8 +407,11 @@ def test_criterion_11_connected_minimizer_race():
         pair_closed = 2.0 * catenoid.disk_area_closed_form(AmbientSpace(tau), comp.analytic.R)
         tol = 0.02 * comp.analytic.area_catenoid + 0.01 * pair_closed
         margin = comp.optimized_disks_area - comp.optimized_annulus_area
-        ok = ok and comp.connected_wins and margin > tol
-        details.append(f"(tau={tau}, h={h}): margin {margin:.1f} > tol {tol:.1f}")
+        ok = ok and comp.connected_wins and margin > tol and uncapped(comp)
+        details.append(
+            f"(tau={tau}, h={h}): margin {margin:.1f} > tol {tol:.1f}, "
+            f"{comp.annulus_report.termination}/{comp.disks_report.termination}"
+        )
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 900.0
     report(11, "connected-race", ok, "; ".join(details) + f", {elapsed:.1f} s < 900 s")

@@ -291,11 +291,13 @@ def test_plateau_disk(tmp_path, capsys):
         str(out_path),
     )
     assert rc == 0
-    _, _, columns, rows = _csvio.read_table(out_path, "plateau-disk")
+    _, version, columns, rows = _csvio.read_table(out_path, "plateau-disk")
+    assert version == 2
+    assert columns[-2:] == ["converged", "termination"]
     assert len(rows) == 1
     row = dict(zip(columns, rows[0]))
     assert float(row["rel_error"]) < 0.05
-    assert row["converged"] == "true"
+    assert (row["converged"], row["termination"]) == ("true", "converged")
     closed = catenoid.disk_area_closed_form(AmbientSpace(0.0), 1.0)
     assert float(row["closed_form"]) == pytest.approx(closed, abs=1e-12)
     assert (tmp_path / "mesh_disk.off").exists()
@@ -329,10 +331,15 @@ def test_plateau_race(tmp_path, capsys):
     )
     assert rc == 0
     assert "connected_wins = true" in out
-    _, _, columns, rows = _csvio.read_table(out_path, "plateau-compare")
+    _, version, columns, rows = _csvio.read_table(out_path, "plateau-compare")
+    assert version == 2
+    assert columns[-2:] == ["annulus_termination", "disks_termination"]
     row = dict(zip(columns, rows[0]))
     assert row["connected_wins"] == "true"
     assert float(row["optimized_annulus"]) < float(row["optimized_disks"])
+    terminations = ("converged", "stalled", "iteration_cap", "line_search_failed")
+    assert row["annulus_termination"] in terminations
+    assert row["disks_termination"] in terminations
 
 
 def test_config_file_defaults_and_overrides(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import fd_mesh_gradient, record_plans
+from reference_checks import reference_minimize
 
 from etau import _kernels
 from etau import plateau
@@ -172,13 +173,20 @@ def test_minimize_flattens_wobbled_disk():
     assert rep.degenerate_triangles == 0
 
 
-def test_minimize_reports_termination_and_cost():
+def test_minimize_reports_termination_and_cost(monkeypatch):
     amb = AmbientSpace(0.3)
     mesh = wobbled_disk()
     _, rep = plateau.minimize(amb, mesh, plateau.SolverConfig(gradient_tol=1.0))
     assert (rep.termination, rep.converged) == ("converged", True)
     assert rep.gradient_norm < 1.0
     assert rep.iterations == len(rep.area_history) - 1
+    # the gradient test runs before the stall test: with a one-step window
+    # that always stalls, both hold after the first step, which converged
+    monkeypatch.setattr(plateau, "_STALL_WINDOW", 1)
+    monkeypatch.setattr(plateau, "_STALL_REL", math.inf)
+    _, both = plateau.minimize(amb, mesh, plateau.SolverConfig(gradient_tol=1.0))
+    assert (both.termination, both.converged, both.iterations) == ("converged", True, 1)
+    monkeypatch.undo()
 
     _, rep = plateau.minimize(amb, mesh, plateau.SolverConfig(max_iterations=3))
     assert (rep.termination, rep.converged, rep.iterations) == ("iteration_cap", False, 3)
@@ -201,9 +209,73 @@ def test_minimize_reports_line_search_failure(monkeypatch):
     assert rep.area_history == (rep.final_area,)
     assert rep.gradients == 1
     assert rep.evaluations == 1 + plateau._MAX_BACKTRACKS
+    assert rep.rejected_armijo == plateau._MAX_BACKTRACKS
+    assert (rep.rejected_barrier, rep.rejected_degenerate) == (0, 0)
     assert len(plans) == 1
     assert len(plans[0]["candidates"]) == rep.evaluations
     np.testing.assert_array_equal(out.vertices, mesh.vertices)
+
+
+def assert_stalled_by_rule(rep):
+    """The solve ended stalled, at the first window that met the stall test."""
+    w = plateau._STALL_WINDOW
+    hist = rep.area_history
+    assert (rep.termination, rep.converged) == ("stalled", False)
+    assert rep.iterations >= w
+    assert hist[-1 - w] - hist[-1] < plateau._STALL_REL * w * hist[-1]
+    for k in range(w, rep.iterations):
+        assert hist[k - w] - hist[k] >= plateau._STALL_REL * w * hist[k]
+
+
+def rejecting_disk():
+    """A wobbled free disk near the rim whose line search meets every rejection cause."""
+    R = 4.0
+    rho = math.tanh(0.5 * R)
+    mesh = plateau.mesh_disk(
+        plateau.circle_loop(rho, 0.0, 24), 6, plateau.hyperbolic_ring_fractions(R, 6)
+    )
+    rng = np.random.default_rng(1)
+    interior = ~mesh.boundary_mask
+    mesh.vertices[interior, 2] += 0.05 * rng.standard_normal(int(interior.sum()))
+    return mesh
+
+
+def assert_evaluations_by_cause(rep):
+    """Every evaluated candidate was accepted or rejected for one cause."""
+    assert rep.evaluations == 1 + rep.iterations + rep.rejected_degenerate + rep.rejected_armijo
+
+
+def test_minimize_counts_rejections_by_cause():
+    _, rep = plateau.minimize(AmbientSpace(0.0), rejecting_disk())
+    assert min(rep.rejected_barrier, rep.rejected_degenerate, rep.rejected_armijo) > 0
+    assert_evaluations_by_cause(rep)
+
+
+def test_stalled_solve_is_not_converged():
+    _, rep = plateau.minimize(AmbientSpace(0.0), rejecting_disk())
+    assert rep.gradient_norm >= plateau.SolverConfig().gradient_tol
+    assert_stalled_by_rule(rep)
+
+
+@pytest.mark.parametrize("tau, h", [(0.0, 1.0), (0.1, 1.2)])
+def test_race_annulus_stalls_near_the_capped_area(tau, h):
+    # criterion 11's races: the default-mesh annulus slides its vertices at
+    # 1-3e-8 relative per step; it stops stalled, on the area history of the
+    # solve without a stall test, close to where that one reaches its cap
+    amb = AmbientSpace(tau)
+    result = plateau.compare_connected_vs_disks(amb, h)
+    rep = result.annulus_report
+    assert_stalled_by_rule(rep)
+    analytic = connected_boundary_for_height(amb, h)
+    trunc = TruncatedCatenoid(CatenoidProfile(amb, analytic.d), analytic.R)
+    annulus = plateau.mesh_from_grid(annulus_vertex_grid(trunc, 49, 160))
+    _, ref = reference_minimize(amb, annulus)
+    assert ref.termination == "iteration_cap"
+    assert ref.area_history[: rep.iterations + 1] == rep.area_history
+    assert abs(rep.final_area - ref.final_area) / ref.final_area < 1e-5
+    assert result.disks_report.termination in ("converged", "stalled")
+    for solve in (rep, result.disks_report):
+        assert_evaluations_by_cause(solve)
 
 
 def test_minimize_requires_mixed_mask():
@@ -408,12 +480,18 @@ def test_compare_connected_vs_disks_small():
 
 
 def test_compare_solves_disks_as_graphs_and_annulus_as_before():
-    # the coarse disks need 874 iterations to bring the t-gradient norm
-    # below the absolute tolerance, more than the default cap of 400
+    # without the stall test the coarse disks need 854 iterations to bring
+    # the t-gradient norm below the absolute tolerance, more than the
+    # default cap of 400; they stall after 10, 1.5e-9 from that area
     amb = AmbientSpace(0.1)
     cfg = plateau.SolverConfig(max_iterations=1000)
     result = plateau.compare_connected_vs_disks(amb, 1.2, cfg, n_theta=96, n_rows=25, n_r=24)
-    assert result.disks_report.termination == "converged"
+    assert result.disks_report.termination in ("converged", "stalled")
+    radius = math.tanh(0.5 * result.analytic.R)
+    disks = plateau._two_disk_mesh(radius, 1.2, 24, 96)
+    _, ref = reference_minimize(amb, disks, cfg, vertical=True)
+    assert ref.termination == "converged"
+    assert abs(result.optimized_disks_area - ref.final_area) / ref.final_area < 1e-6
     analytic = connected_boundary_for_height(amb, 1.2)
     trunc = TruncatedCatenoid(CatenoidProfile(amb, analytic.d), analytic.R)
     annulus = plateau.mesh_from_grid(annulus_vertex_grid(trunc, 25, 96))
