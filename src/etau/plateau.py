@@ -21,6 +21,12 @@ Topology never changes during a solve.  The connected-versus-disks
 experiment therefore races two fixed topologies spanning the same pair
 of circles: an annulus initialized on the sampled catenoid, whose
 vertices move freely, and a pair of flat disks solved as vertical graphs.
+The mesh constructors build their vertex and triangle arrays as whole
+arrays, with no per-ring or per-triangle Python loop.  A ``TriMesh``
+checks its topology once, with one sort of its directed edges, when it
+is built; a copy and a solve's output share that checked topology and
+check only their vertices, so a race checks each of its two topologies
+once.
 """
 
 from __future__ import annotations
@@ -98,6 +104,19 @@ def _loop_array(loop) -> np.ndarray:
     return arr
 
 
+def _check_vertices(v: np.ndarray) -> None:
+    """Raise unless every row of ``v`` is finite and inside the disk barrier."""
+    nonfinite = np.flatnonzero(~np.isfinite(v).all(axis=1))
+    if nonfinite.size:
+        k = int(nonfinite[0])
+        raise DomainError(f"vertex {k} is not finite: {tuple(v[k].tolist())!r}")
+    r2 = v[:, 0] ** 2 + v[:, 1] ** 2
+    if not (r2 < 1.0 - DISK_BARRIER).all():
+        raise DomainError(
+            "vertices must satisfy x^2 + y^2 < 1 - 1e-9 (model boundary barrier)"
+        )
+
+
 class TriMesh:
     """Triangle mesh with marked fixed-boundary vertices.
 
@@ -106,6 +125,10 @@ class TriMesh:
     the mask is omitted it is derived from the topology (vertices of
     edges incident to exactly one triangle).  Vertices must be finite
     and stay strictly inside the unit disk by the barrier margin.
+
+    The topology is checked once, when the mesh is built; a copy, and a
+    solve's output, share the checked triangles and boundary edges and
+    check only their vertices.
     """
 
     def __init__(
@@ -122,15 +145,7 @@ class TriMesh:
             raise DomainError("triangles must have shape (m, 3) with m >= 1")
         if t.min() < 0 or t.max() >= len(v):
             raise DomainError("triangle indices out of range")
-        nonfinite = np.flatnonzero(~np.isfinite(v).all(axis=1))
-        if nonfinite.size:
-            k = int(nonfinite[0])
-            raise DomainError(f"vertex {k} is not finite: {tuple(v[k].tolist())!r}")
-        r2 = v[:, 0] ** 2 + v[:, 1] ** 2
-        if not (r2 < 1.0 - DISK_BARRIER).all():
-            raise DomainError(
-                "vertices must satisfy x^2 + y^2 < 1 - 1e-9 (model boundary barrier)"
-            )
+        _check_vertices(v)
         n = len(v)
         # the edges of triangle (a, b, c) run a->b, b->c, c->a
         src = t.ravel()
@@ -139,18 +154,24 @@ class TriMesh:
         if bad.size:
             e = (int(src[bad[0]]), int(dst[bad[0]]))
             raise DomainError(f"degenerate edge {e!r} in triangle")
-        # integer keys lo * n + hi name the undirected edges
-        keys, counts = np.unique(
-            np.minimum(src, dst) * n + np.maximum(src, dst), return_counts=True
-        )
+        # integer keys lo * n + hi name the undirected edges; one sort of
+        # key * 2 + direction groups each edge's uses, its forward uses first
+        code = (np.minimum(src, dst) * n + np.maximum(src, dst)) * 2 + (src > dst)
+        code.sort()
+        key = code >> 1
+        first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        keys = key[first]
+        counts = np.diff(np.append(first, len(key)))
         over = np.flatnonzero(counts > 2)
         if over.size:
             e = divmod(int(keys[over[0]]), n)
             raise DomainError(f"edge {e!r} belongs to more than two triangles")
-        directed, repeats = np.unique(src * n + dst, return_counts=True)
-        rep = np.flatnonzero(repeats > 1)
+        rep = np.flatnonzero(code[1:] == code[:-1])
         if rep.size:
-            e = divmod(int(directed[rep[0]]), n)
+            # report the repeat of least directed key src * n + dst
+            lo, hi = np.divmod(key[rep], n)
+            directed = np.where(code[rep] & 1, hi * n + lo, key[rep])
+            e = divmod(int(directed.min()), n)
             raise DomainError(
                 f"directed edge {e!r} repeats: inconsistent orientation "
                 "or duplicate triangle"
@@ -170,8 +191,26 @@ class TriMesh:
         self.triangles = t
         self.boundary_mask = mask
 
+    def _with_vertices(self, vertices: np.ndarray) -> "TriMesh":
+        """This mesh's topology and a copy of its mask on new vertices.
+
+        Only the vertices are checked (finite, inside the disk barrier);
+        the triangles, boundary edges and edge count are shared.
+        """
+        v = np.ascontiguousarray(vertices, dtype=np.float64)
+        if v.shape != self.vertices.shape:
+            raise DomainError("vertices must have shape (n, 3)")
+        _check_vertices(v)
+        out = TriMesh.__new__(TriMesh)
+        out._boundary_edges = self._boundary_edges
+        out._n_edges = self._n_edges
+        out.vertices = v
+        out.triangles = self.triangles
+        out.boundary_mask = self.boundary_mask.copy()
+        return out
+
     def copy(self) -> "TriMesh":
-        return TriMesh(self.vertices.copy(), self.triangles, self.boundary_mask.copy())
+        return self._with_vertices(self.vertices.copy())
 
     def boundary_edges(self) -> frozenset[tuple[int, int]]:
         return self._boundary_edges
@@ -293,7 +332,6 @@ def minimize(
     v = mesh.vertices.copy()
     tri = mesh.triangles
     fixed = mesh.boundary_mask
-    free = ~fixed
     evaluate = _kernels.plan(amb.tau, v, tri, vertical=vertical).evaluate
 
     # an evaluation stays alive until the next one replaces it: freeing it
@@ -301,7 +339,7 @@ def minimize(
     # next evaluation then faults them in again
     ev = evaluate(v)
     area = float(np.sum(ev.tri_areas))
-    base_degen = int(np.sum(ev.degenerate))
+    base_degen = np.count_nonzero(ev.degenerate)
     grad = ev.gradient()
     grad[fixed] = 0.0
     history = [area]
@@ -324,14 +362,14 @@ def minimize(
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             cand = v - step * grad
-            r2 = cand[free, 0] ** 2 + cand[free, 1] ** 2
-            if not (r2 < 1.0 - DISK_BARRIER).all():
+            r2 = cand[:, 0] ** 2 + cand[:, 1] ** 2
+            if not ((r2 < 1.0 - DISK_BARRIER) | fixed).all():
                 rejected_barrier += 1
                 step *= _LINE_SEARCH_SHRINK
                 continue
             ev = evaluate(cand)
             evaluations += 1
-            if int(np.sum(ev.degenerate)) > base_degen:
+            if np.count_nonzero(ev.degenerate) > base_degen:
                 rejected_degenerate += 1
                 step *= _LINE_SEARCH_SHRINK
                 continue
@@ -353,7 +391,7 @@ def minimize(
             termination = "line_search_failed"
             break
 
-    out = TriMesh(v, tri, fixed.copy())
+    out = mesh._with_vertices(v)
     report = SolveReport(
         final_area=area,
         iterations=len(history) - 1,
@@ -496,12 +534,16 @@ def mesh_disk(boundary, n_r: int, ring_fractions: np.ndarray | None = None) -> T
             raise UsageError("ring_fractions must be strictly increasing with n_r entries")
         if abs(fractions[-1] - 1.0) > 1e-12:
             raise UsageError("the last ring fraction must be 1 (the boundary loop)")
+    return TriMesh(*_disk_arrays(loop, fractions))
+
+
+def _disk_arrays(loop: np.ndarray, fractions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and triangles of :func:`mesh_disk` for a checked loop and fractions."""
     n = len(loop)
+    n_r = len(fractions)
     center = loop.mean(axis=0)
-    verts = [center]
-    for f in fractions:
-        verts.extend(center + f * (loop - center))
-    vertices = np.vstack(verts)
+    rings = center + fractions[:, None, None] * (loop - center)
+    vertices = np.concatenate([center[None, :], rings.reshape(-1, 3)])
     i = np.arange(n, dtype=np.int64)
     i2 = (i + 1) % n
     fan = np.column_stack([np.zeros_like(i), 1 + i, 1 + i2])
@@ -515,7 +557,7 @@ def mesh_disk(boundary, n_r: int, ring_fractions: np.ndarray | None = None) -> T
         ],
         axis=2,
     )
-    return TriMesh(vertices, np.vstack([fan, bands.reshape(-1, 3)]))
+    return vertices, np.vstack([fan, bands.reshape(-1, 3)])
 
 
 def mesh_from_grid(grid: np.ndarray) -> TriMesh:
@@ -578,13 +620,10 @@ class PlateauComparison:
 def _two_disk_mesh(radius: float, h: float, n_r: int, n_theta: int) -> TriMesh:
     R = 2.0 * math.atanh(radius)
     fractions = hyperbolic_ring_fractions(R, n_r)
-    top = mesh_disk(circle_loop(radius, h, n_theta), n_r, fractions)
-    bot = mesh_disk(circle_loop(radius, -h, n_theta), n_r, fractions)
-    offset = len(top.vertices)
-    vertices = np.vstack([top.vertices, bot.vertices])
-    tris = np.vstack([top.triangles, bot.triangles + offset])
-    mask = np.concatenate([top.boundary_mask, bot.boundary_mask])
-    return TriMesh(vertices, tris, mask)
+    top, tris = _disk_arrays(circle_loop(radius, h, n_theta), fractions)
+    bot, _ = _disk_arrays(circle_loop(radius, -h, n_theta), fractions)
+    vertices = np.concatenate([top, bot])
+    return TriMesh(vertices, np.concatenate([tris, tris + len(top)]))
 
 
 def compare_connected_vs_disks(

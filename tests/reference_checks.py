@@ -16,6 +16,13 @@ areas, flags and gradients bit for bit.  ``reference_minimize`` is
 ``plateau.minimize`` before its stall test: it stops only on the
 gradient norm, the iteration cap or a failed line search, so a solve
 that ``minimize`` ends as ``stalled`` runs on here to one of those.
+``reference_topology`` is the ``TriMesh`` edge check with one
+``np.unique`` per edge kind, which one sort of directed edge codes
+replaced; it must raise the same error or find the same boundary.
+``reference_mesh_disk`` builds its rings one at a time and
+``reference_two_disk_mesh`` joins two checked disk meshes into a third;
+the array-built ``plateau.mesh_disk`` and ``plateau._two_disk_mesh`` must
+give the same meshes bit for bit.
 """
 
 import functools
@@ -27,6 +34,7 @@ import numpy as np
 from etau import _kernels, curves, plateau
 from etau._kernels.mesh_numpy import _DEGEN_REL
 from etau.barriers import BoundaryCurve, _segments
+from etau.errors import DomainError
 from etau.models import fiber_form
 
 
@@ -381,3 +389,75 @@ def reference_minimize(amb, mesh, config=None, *, vertical=False):
             termination = "line_search_failed"
             break
     return v, ReferenceSolveReport(area, tuple(history), termination)
+
+
+def reference_topology(triangles, n):
+    """Boundary edges, edge count and derived boundary mask of a triangle
+    list on ``n`` vertices, raising ``DomainError`` like ``TriMesh``."""
+    t = np.asarray(triangles, dtype=np.int64)
+    src = t.ravel()
+    dst = t[:, [1, 2, 0]].ravel()
+    bad = np.flatnonzero(src == dst)
+    if bad.size:
+        e = (int(src[bad[0]]), int(dst[bad[0]]))
+        raise DomainError(f"degenerate edge {e!r} in triangle")
+    keys, counts = np.unique(
+        np.minimum(src, dst) * n + np.maximum(src, dst), return_counts=True
+    )
+    over = np.flatnonzero(counts > 2)
+    if over.size:
+        e = divmod(int(keys[over[0]]), n)
+        raise DomainError(f"edge {e!r} belongs to more than two triangles")
+    directed, repeats = np.unique(src * n + dst, return_counts=True)
+    rep = np.flatnonzero(repeats > 1)
+    if rep.size:
+        e = divmod(int(directed[rep[0]]), n)
+        raise DomainError(
+            f"directed edge {e!r} repeats: inconsistent orientation "
+            "or duplicate triangle"
+        )
+    lo, hi = np.divmod(keys[counts == 1], n)
+    mask = np.zeros(n, dtype=bool)
+    mask[lo] = True
+    mask[hi] = True
+    return frozenset(zip(lo.tolist(), hi.tolist())), len(keys), mask
+
+
+def reference_mesh_disk(boundary, n_r, ring_fractions=None):
+    """``plateau.mesh_disk`` with its rings built one at a time."""
+    loop = plateau._loop_array(boundary)
+    if ring_fractions is None:
+        fractions = np.arange(1, n_r + 1) / n_r
+    else:
+        fractions = np.asarray(ring_fractions, dtype=np.float64)
+    n = len(loop)
+    center = loop.mean(axis=0)
+    verts = [center]
+    for f in fractions:
+        verts.extend(center + f * (loop - center))
+    vertices = np.vstack(verts)
+    i = np.arange(n, dtype=np.int64)
+    i2 = (i + 1) % n
+    fan = np.column_stack([np.zeros_like(i), 1 + i, 1 + i2])
+    base_in = 1 + n * np.arange(n_r - 1, dtype=np.int64)[:, None]
+    base_out = base_in + n
+    bands = np.stack(
+        [
+            np.stack([base_in + i, base_out + i, base_out + i2], axis=-1),
+            np.stack([base_in + i, base_out + i2, base_in + i2], axis=-1),
+        ],
+        axis=2,
+    )
+    return plateau.TriMesh(vertices, np.vstack([fan, bands.reshape(-1, 3)]))
+
+
+def reference_two_disk_mesh(radius, h, n_r, n_theta):
+    """``plateau._two_disk_mesh`` as the union of two checked disk meshes."""
+    fractions = plateau.hyperbolic_ring_fractions(2.0 * math.atanh(radius), n_r)
+    top = reference_mesh_disk(plateau.circle_loop(radius, h, n_theta), n_r, fractions)
+    bot = reference_mesh_disk(plateau.circle_loop(radius, -h, n_theta), n_r, fractions)
+    offset = len(top.vertices)
+    vertices = np.vstack([top.vertices, bot.vertices])
+    tris = np.vstack([top.triangles, bot.triangles + offset])
+    mask = np.concatenate([top.boundary_mask, bot.boundary_mask])
+    return plateau.TriMesh(vertices, tris, mask)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import fd_mesh_gradient, record_plans
-from reference_checks import reference_minimize
+from reference_checks import (
+    reference_minimize,
+    reference_mesh_disk,
+    reference_topology,
+    reference_two_disk_mesh,
+)
 
 from etau import _kernels
 from etau import plateau
@@ -133,6 +138,123 @@ def test_boundary_matches_edge_count_reference():
         assert mesh.euler_characteristic() == (
             len(mesh.vertices) - len(counts) + len(mesh.triangles)
         )
+
+
+def test_topology_check_matches_reference():
+    # small random triangle lists meet every error of the check in turn, and
+    # valid meshes; the error, or else the boundary, matches the reference
+    rng = np.random.default_rng(7)
+    lists = [
+        # repeats 2->1 and 1->3: the reported one has the least src * n + dst
+        (7, np.array([[2, 1, 0], [2, 1, 4], [1, 3, 5], [1, 3, 6]])),
+    ]
+    for _ in range(600):
+        n = int(rng.integers(3, 8))
+        tris = np.array([rng.permutation(n)[:3] for _ in range(int(rng.integers(1, 9)))])
+        if rng.random() < 0.1:
+            tris[int(rng.integers(len(tris))), 2] = tris[0, 0]
+        lists.append((n, tris))
+    seen = set()
+    for n, tris in lists:
+        v = rng.uniform(-0.5, 0.5, (n, 3))
+        try:
+            edges, n_edges, mask = reference_topology(tris, n)
+        except DomainError as err:
+            seen.add(str(err).split(" ")[0])
+            with pytest.raises(DomainError) as got:
+                plateau.TriMesh(v, tris)
+            assert str(got.value) == str(err)
+            continue
+        seen.add("valid")
+        mesh = plateau.TriMesh(v, tris)
+        assert mesh.boundary_edges() == edges
+        assert mesh.euler_characteristic() == n - n_edges + len(tris)
+        np.testing.assert_array_equal(mesh.boundary_mask, mask)
+    assert seen == {"degenerate", "edge", "directed", "valid"}
+    with pytest.raises(DomainError, match=r"directed edge \(1, 3\) repeats"):
+        plateau.TriMesh(rng.uniform(-0.5, 0.5, (7, 3)), lists[0][1])
+
+
+def assert_same_mesh(got, ref):
+    for a, b in (
+        (got.vertices, ref.vertices),
+        (got.triangles, ref.triangles),
+        (got.boundary_mask, ref.boundary_mask),
+    ):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert got.boundary_edges() == ref.boundary_edges()
+    assert got.euler_characteristic() == ref.euler_characteristic()
+
+
+@pytest.mark.parametrize("n, n_r", [(3, 1), (12, 3), (160, 48)])
+def test_disk_meshes_match_ring_loop_reference(n, n_r):
+    ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    # the race's circle, and an off-center loop whose centroid has no zero
+    wobbly = np.column_stack(
+        [0.1 + 0.5 * np.cos(ang), -0.05 + 0.4 * np.sin(ang), 0.3 + 0.2 * np.sin(3 * ang)]
+    )
+    fractions = plateau.hyperbolic_ring_fractions(2.0 * math.atanh(0.6), n_r)
+    for loop in (plateau.circle_loop(0.6, 1.1, n), wobbly):
+        assert_same_mesh(plateau.mesh_disk(loop, n_r), reference_mesh_disk(loop, n_r))
+        assert_same_mesh(
+            plateau.mesh_disk(loop, n_r, fractions), reference_mesh_disk(loop, n_r, fractions)
+        )
+    assert_same_mesh(
+        plateau._two_disk_mesh(0.6, 1.1, n_r, n), reference_two_disk_mesh(0.6, 1.1, n_r, n)
+    )
+
+
+def test_minimize_output_shares_the_checked_topology():
+    amb = AmbientSpace(0.3)
+    mesh = wobbled_disk()
+    for vertical in (False, True):
+        out, _ = plateau.minimize(amb, mesh, vertical=vertical)
+        assert out.triangles is mesh.triangles
+        assert out.boundary_edges() == mesh.boundary_edges()
+        assert out.euler_characteristic() == mesh.euler_characteristic()
+        np.testing.assert_array_equal(out.boundary_mask, mesh.boundary_mask)
+        assert not np.shares_memory(out.boundary_mask, mesh.boundary_mask)
+        assert not np.shares_memory(out.vertices, mesh.vertices)
+    # the vertex-only path keeps the vertex checks and their messages
+    bad = [
+        ((5, 2), math.nan, r"vertex 5 is not finite"),
+        ((5, 0), math.inf, r"vertex 5 is not finite"),
+        ((5, 0), 1.0, r"x\^2 \+ y\^2 < 1 - 1e-9 \(model boundary barrier\)"),
+    ]
+    for index, value, message in bad:
+        w = mesh.vertices.copy()
+        w[index] = value
+        with pytest.raises(DomainError, match=message):
+            mesh._with_vertices(w)
+        moved = mesh.copy()
+        moved.vertices[index] = value
+        with pytest.raises(DomainError, match=message):
+            moved.copy()
+    with pytest.raises(DomainError, match=r"vertices must have shape"):
+        mesh._with_vertices(mesh.vertices[:-1])
+
+
+def test_race_checks_each_topology_once(monkeypatch):
+    calls = []
+    init = plateau.TriMesh.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(plateau.TriMesh, "__init__", counting_init)
+    amb = AmbientSpace(0.05)
+    cfg = plateau.SolverConfig(max_iterations=20)
+    result = plateau.compare_connected_vs_disks(amb, 1.1, cfg, n_theta=48, n_rows=13, n_r=12)
+    # the annulus grid and the disk pair, nothing else
+    assert [len(args[1]) for args in calls] == [
+        len(result.annulus_mesh.triangles),
+        len(result.disks_mesh.triangles),
+    ]
+    calls.clear()
+    out, _ = plateau.minimize(amb, result.disks_mesh, cfg, vertical=True)
+    out.copy()
+    assert calls == []
 
 
 def test_gradient_matches_finite_differences():
