@@ -9,7 +9,9 @@ Subcommands:
 * ``isometry-bound``: sampled sup of the vertical shift of bounded
   lifts against the strict bound ``2 tau pi``.
 * ``classify``: exact tall/short verdict for a curve file, and optionally
-  a height profile on ``--grid`` angles (the verdict does not use it).
+  a height profile on ``--grid`` angles (the verdict does not use it),
+  read from the same sweep: ``height-profile`` CSV version 2, columns
+  ``angle,height,crossings``.
 * ``plateau``: connected-versus-disks race, or a single-disk solve.
 * ``rectangle``: slab placement width and a rectangle boundary CSV.
 
@@ -263,17 +265,11 @@ def cmd_classify(args) -> int:
     if args.output:
         profile = result.profile
         rows = [
-            (float(a), float(h), int(c), bool(f))
-            for a, h, c, f in zip(
-                profile.angles, profile.heights, profile.crossing_counts, profile.flagged
-            )
+            (float(a), float(h), int(c))
+            for a, h, c in zip(profile.angles, profile.heights, profile.crossing_counts)
         ]
         _csvio.write_table(
-            args.output,
-            "height-profile",
-            1,
-            ("angle", "height", "crossings", "flagged"),
-            rows,
+            args.output, "height-profile", 2, ("angle", "height", "crossings"), rows
         )
         print(f"rows = {len(rows)} -> {args.output}")
     return 0

@@ -14,14 +14,14 @@ Both checks draw their candidate pairs from an angular window, so they
 cost near-linear time and memory in the number of samples, and return
 what the all-pairs tests would.
 
-Each loop's unwrapped angles and heights are built once, when the curve
-is constructed.  :func:`classify` and :func:`global_height` read the
-height at every angle from one event sweep: between consecutive sample
-angles the height is concave, so its limits at their ends settle both
-the infimum and the set below a threshold.  :func:`height_at` brackets
-one line's crossings and raises :class:`TangencyError` on tangential
-contact (a touch or an edge at constant angle); :func:`height_profile`,
-a grid sample for reports, retries such angles perturbed and flags them.
+Every height is read from one event sweep over the sample angles, built
+once per curve on first use.  :func:`classify` and :func:`global_height`
+take the height's limits at the sweep's cell ends: the height is concave
+between consecutive sample angles, so these settle both the infimum and
+the set below a threshold.  :func:`vertical_line_crossings`,
+:func:`height_at` and :func:`height_profile` (a grid sample for reports)
+look single lines up in it.  Cells are half-open, so a line at a sample
+angle reads the limit from the right, with no tolerance.
 """
 
 from __future__ import annotations
@@ -30,13 +30,14 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .barriers import (
     BoundaryCurve,
     _angular_window_pairs,
+    horizontal_circle,
     is_simple,
     min_rectangle_height,
 )
@@ -44,7 +45,6 @@ from .errors import DomainError, UsageError
 from .models import AmbientSpace, BoundaryPoint, CylinderPoint
 
 __all__ = [
-    "TangencyError",
     "AsymptoticCurve",
     "HeightProfile",
     "Verdict",
@@ -61,12 +61,7 @@ __all__ = [
     "graph_curve",
 ]
 
-_VERTEX_TOL = 1e-9
 _MIN_SEPARATION = 1e-6
-
-
-class TangencyError(DomainError):
-    """The vertical line meets the curve without crossing it transversally."""
 
 
 _Loop = tuple[np.ndarray, np.ndarray, float, float, float]
@@ -112,6 +107,10 @@ class AsymptoticCurve:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_loops", tuple(_closed_arrays(c) for c in comps))
 
+    @cached_property
+    def _sweep(self) -> _Sweep:
+        return _sweep_table(self)
+
     def t_range(self) -> tuple[float, float]:
         lo = min(float(loop[1].min()) for loop in self._loops)
         hi = max(float(loop[1].max()) for loop in self._loops)
@@ -134,122 +133,42 @@ def _samples_within(a: BoundaryCurve, b: BoundaryCurve, sep: float) -> bool:
     return False
 
 
-def vertical_line_crossings(
-    curve: AsymptoticCurve, p: float, tol: float = _VERTEX_TOL
-) -> list[float]:
-    """Heights at which the curve crosses the vertical line at angle ``p``.
-
-    Crossings are transversal passages of the unwrapped angle through
-    ``p`` modulo 2 pi, located by linear interpolation on the sampled
-    segments and returned sorted.  Tangential contact raises
-    :class:`TangencyError`.
-    """
-    out: list[float] = []
-    for theta, t, theta_min, theta_max, winding in curve._loops:
-        m = len(theta) - 1
-        lo = math.floor((theta_min - p) / (2.0 * math.pi)) - 1
-        hi = math.ceil((theta_max - p) / (2.0 * math.pi)) + 1
-        for k in range(lo, hi + 1):
-            target = p + 2.0 * math.pi * k
-            if target < theta_min - tol or target > theta_max + tol:
-                continue
-            diff = theta - target
-            # the closing point duplicates sample 0, so only [:m] is searched
-            hit = np.flatnonzero(np.abs(diff[:m]) <= tol)
-            for i in hit:
-                # neighbors in the unwrapped chart; crossing the seam needs
-                # the winding offset so a circle's sample 0 sees -step behind
-                prev_d = diff[i - 1] if i >= 1 else diff[m - 1] - winding
-                next_d = diff[i + 1]
-                if np.abs(prev_d) <= tol or np.abs(next_d) <= tol:
-                    raise TangencyError(
-                        f"an edge of the curve lies on the line at angle {p!r}"
-                    )
-                if prev_d * next_d > 0.0:
-                    raise TangencyError(f"tangential touch of the line at angle {p!r}")
-                out.append(float(t[i]))
-            prod = diff[:m] * diff[1 : m + 1]
-            crossing = np.flatnonzero(prod < 0.0)
-            for i in crossing:
-                if np.abs(diff[i]) <= tol or np.abs(diff[i + 1]) <= tol:
-                    continue  # vertex hits already handled
-                frac = -diff[i] / (diff[i + 1] - diff[i])
-                out.append(float(t[i] + frac * (t[i + 1] - t[i])))
-    out.sort()
-    return out
+class _Sweep(NamedTuple):
+    # events: the sorted distinct sample angles mod 2 pi; cell c is the arc
+    # [events[c], events[c + 1]), the last wrapping past 2 pi.  In a cell each
+    # segment crosses every line or none, linearly in the angle.  The
+    # (segment, cell) pairs, sorted by cell and then by height at the cell's
+    # midpoint, keep the segment's unwrapped ends and the lap of the cell on
+    # its chart (at events[c] + 2 pi lap); cell c's are starts[c]:starts[c + 1].
+    events: np.ndarray
+    starts: np.ndarray
+    cell: np.ndarray
+    lap: np.ndarray
+    theta_a: np.ndarray
+    theta_b: np.ndarray
+    t_a: np.ndarray
+    t_b: np.ndarray
 
 
-def height_at(curve: AsymptoticCurve, p: float, tol: float = _VERTEX_TOL) -> float:
-    """Length of the shortest bounded complementary piece of the line at ``p``.
-
-    Infinite when the line crosses the curve fewer than two times.
-    """
-    return _height(curve, p, None, tol)[0]
-
-
-def _height(
-    curve: AsymptoticCurve, p: float, retries: int | None, tol: float = _VERTEX_TOL
-) -> tuple[float, int, bool]:
-    # (height, crossing count, flagged) at p.  On tangency the line moves to
-    # p + k * 1.7e-7 for k = 1..retries and the angle is flagged once those
-    # run out; retries=None lets the TangencyError through instead.
-    for attempt in range(1 if retries is None else retries + 1):
-        try:
-            ts = vertical_line_crossings(curve, p + attempt * 1.7e-7, tol)
-        except TangencyError:
-            if retries is None:
-                raise
-            continue
-        h = math.inf if len(ts) < 2 else min(b - a for a, b in zip(ts, ts[1:]))
-        return h, len(ts), False
-    return math.nan, 0, True
-
-
-@dataclass(frozen=True)
-class HeightProfile:
-    """Heights and crossing data over an angular grid.
-
-    ``heights`` holds ``inf`` where fewer than two crossings exist and
-    ``nan`` at flagged (persistently tangential) angles.
-    """
-
-    angles: np.ndarray
-    heights: np.ndarray
-    crossing_counts: np.ndarray
-    flagged: np.ndarray
-
-    def footprint(self) -> np.ndarray:
-        """Boolean mask of angles where the curve meets the vertical line."""
-        return self.crossing_counts > 0
-
-
-def height_profile(
-    curve: AsymptoticCurve, n: int = 720, retries: int = 3
-) -> HeightProfile:
-    """Evaluate :func:`height_at` on a uniform ``n``-point angular grid."""
-    if n < 8:
-        raise UsageError(f"angular grid needs at least 8 points, got {n!r}")
-    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    heights = np.empty(n)
-    counts = np.zeros(n, dtype=int)
-    flags = np.zeros(n, dtype=bool)
-    for i, p in enumerate(angles):
-        heights[i], counts[i], flags[i] = _height(curve, float(p), retries)
-    return HeightProfile(angles=angles, heights=heights, crossing_counts=counts, flagged=flags)
-
-
-def _gaps(curve: AsymptoticCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-    # events: the sorted distinct sample angles mod 2 pi; cell c is the open
-    # arc from events[c] to the next one, the last wrapping past 2 pi.  In a
-    # cell each segment crosses every line or none, linearly in the angle,
-    # and on a simple curve the crossings keep their order, so neighbours at
-    # the midpoint have linear gaps.  Returns (events, cell, left, right,
-    # footprint): each gap's cell and end limits, and whether any cell is crossed.
-    two_pi = 2.0 * math.pi
-    laps, keys = np.divmod(np.concatenate([loop[0][:-1] for loop in curve._loops]), two_pi)
-    rounded_up = keys >= two_pi  # the remainder of a tiny negative angle
-    laps[rounded_up] += 1.0
+def _turns(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (whole turns, remainder in [0, 2 pi)) of each angle
+    turns, keys = np.divmod(angles, 2.0 * math.pi)
+    rounded_up = keys >= 2.0 * math.pi  # the remainder of a tiny negative angle
+    turns[rounded_up] += 1.0
     keys[rounded_up] = 0.0
+    return turns, keys
+
+
+def _crossing(theta_a, theta_b, t_a, t_b, x):
+    # height at the unwrapped angle x of the segment (theta_a, t_a)-(theta_b,
+    # t_b), clipped to the segment: the one interpolation of the module
+    da, db = theta_a - x, theta_b - x
+    return t_a + np.clip(-da / (db - da), 0.0, 1.0) * (t_b - t_a)
+
+
+def _sweep_table(curve: AsymptoticCurve) -> _Sweep:
+    two_pi = 2.0 * math.pi
+    laps, keys = _turns(np.concatenate([loop[0][:-1] for loop in curve._loops]))
     # sorted and deduplicated without np.unique, which imports numpy.ma (about 1 MB)
     events = keys[np.argsort(keys, kind="stable")]
     events = events[np.append(True, events[1:] > events[:-1])]
@@ -259,8 +178,8 @@ def _gaps(curve: AsymptoticCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     segs, split = [], np.cumsum([len(loop[0]) - 1 for loop in curve._loops])[:-1]
     for (theta, t, _, _, winding), p in zip(curve._loops, np.split(place, split)):
         p = np.append(p, p[0] + round(winding / two_pi) * k)
-        segs.append((p[:-1], p[1:], theta[:-1], np.diff(theta), t[:-1], np.diff(t)))
-    pa, pb, u0, du, t0, dt = (np.concatenate(c) for c in zip(*segs))
+        segs.append((p[:-1], p[1:], theta[:-1], theta[1:], t[:-1], t[1:]))
+    pa, pb, theta_a, theta_b, t_a, t_b = (np.concatenate(c) for c in zip(*segs))
     # a segment covers the cells between its ends; a vertical edge covers none
     counts = np.abs(pb - pa)
     seg = np.repeat(np.arange(len(counts)), counts)
@@ -269,17 +188,92 @@ def _gaps(curve: AsymptoticCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     ends = np.append(events, events[0] + two_pi)
     x0 = ends[cell] + lap * two_pi
     x1 = ends[cell + 1] + lap * two_pi
-    u0, du, t0, dt = u0[seg], du[seg], t0[seg], dt[seg]
+    ends_and_heights = theta_a[seg], theta_b[seg], t_a[seg], t_b[seg]
+    # on a simple curve the crossings in a cell keep their order
+    order = np.lexsort((_crossing(*ends_and_heights, 0.5 * (x0 + x1)), cell))
+    cell = cell[order]
+    starts = np.searchsorted(cell, np.arange(k + 1))
+    return _Sweep(events, starts, cell, lap[order], *(a[order] for a in ends_and_heights))
 
-    def height(x):
-        return t0 + np.clip((x - u0) / du, 0.0, 1.0) * dt
 
-    order = np.lexsort((height(0.5 * (x0 + x1)), cell))
-    cell, left, right = cell[order], height(x0)[order], height(x1)[order]
-    same = cell[1:] == cell[:-1]
+def _lines(curve: AsymptoticCurve, angles: np.ndarray) -> tuple[np.ndarray, ...]:
+    # (crossing heights grouped by angle and sorted, crossing count per
+    # angle, height per angle) of the vertical lines at the given angles.
+    # A line at a sample angle lies in the cell to its right.
+    s = curve._sweep
+    turns, keys = _turns(angles)
+    c = np.searchsorted(s.events, keys, side="right") - 1
+    turns[c < 0] -= 1.0  # below the first event: the last cell, one turn on
+    c %= len(s.events)
+    counts = s.starts[c + 1] - s.starts[c]
+    owner = np.repeat(np.arange(len(angles)), counts)
+    pair = np.repeat(s.starts[c] - (np.cumsum(counts) - counts), counts) + np.arange(len(owner))
+    x = angles[owner] + 2.0 * math.pi * (s.lap[pair] - turns[owner])
+    ts = _crossing(s.theta_a[pair], s.theta_b[pair], s.t_a[pair], s.t_b[pair], x)
+    ts = ts[np.lexsort((ts, owner))]
+    heights = np.full(len(angles), math.inf)
+    same = owner[1:] == owner[:-1]
+    np.minimum.at(heights, owner[1:][same], (ts[1:] - ts[:-1])[same])
+    return ts, counts, heights
+
+
+def vertical_line_crossings(curve: AsymptoticCurve, p: float) -> list[float]:
+    """Heights at which the curve meets the vertical line at angle ``p``, sorted.
+
+    Each crossing is read off a sampled segment by linear interpolation.
+    A line at a sample angle reads the limit from the right: the side of
+    an edge at constant angle, or a turn of the curve, counts only if the
+    curve goes on to the right of it.
+    """
+    return _lines(curve, np.array([float(p)]))[0].tolist()
+
+
+def height_at(curve: AsymptoticCurve, p: float) -> float:
+    """Length of the shortest bounded complementary piece of the line at ``p``.
+
+    Infinite when the line crosses the curve fewer than two times.
+    """
+    return float(_lines(curve, np.array([float(p)]))[2][0])
+
+
+@dataclass(frozen=True)
+class HeightProfile:
+    """Heights and crossing counts over an angular grid.
+
+    ``heights`` holds ``inf`` where fewer than two crossings exist.
+    """
+
+    angles: np.ndarray
+    heights: np.ndarray
+    crossing_counts: np.ndarray
+
+    def footprint(self) -> np.ndarray:
+        """Boolean mask of angles where the curve meets the vertical line."""
+        return self.crossing_counts > 0
+
+
+def height_profile(curve: AsymptoticCurve, n: int = 720) -> HeightProfile:
+    """Heights and crossing counts on a uniform ``n``-point angular grid."""
+    if n < 8:
+        raise UsageError(f"angular grid needs at least 8 points, got {n!r}")
+    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    _, counts, heights = _lines(curve, angles)
+    return HeightProfile(angles=angles, heights=heights, crossing_counts=counts)
+
+
+def _gaps(curve: AsymptoticCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+    # Neighbours in a cell have linear gaps.  Returns (events, cell, left,
+    # right, footprint): each gap's cell and end limits, and whether any
+    # cell is crossed.
+    s = curve._sweep
+    ends = np.append(s.events, s.events[0] + 2.0 * math.pi)
+    laps = s.lap * (2.0 * math.pi)
+    left = _crossing(s.theta_a, s.theta_b, s.t_a, s.t_b, ends[s.cell] + laps)
+    right = _crossing(s.theta_a, s.theta_b, s.t_a, s.t_b, ends[s.cell + 1] + laps)
+    same = s.cell[1:] == s.cell[:-1]
     # rounding where two segments share a vertex can leave a gap a hair below 0
     left, right = (np.maximum(np.diff(h)[same], 0.0) for h in (left, right))
-    return events, cell[1:][same], left, right, len(seg) > 0
+    return s.events, s.cell[1:][same], left, right, len(s.cell) > 0
 
 
 def _infimum(events, cell, left, right) -> tuple[float, float, float]:
@@ -330,7 +324,8 @@ class Classification:
     is approached, nan if no line meets the curve.  ``footprint_min_height``
     is that exact infimum, and so is ``global_min_height``, the height
     being infinite off the footprint.  ``profile``, a height sample on
-    ``grid`` angles for reports, is swept on first access.
+    ``grid`` angles for reports, is read from the same sweep table on
+    first access.
     """
 
     verdict: Verdict
@@ -452,12 +447,7 @@ def parallel_circles(heights: Sequence[float], n: int = 720) -> AsymptoticCurve:
         raise UsageError(f"heights must be strictly increasing, got {hs!r}")
     if n < 8:
         raise UsageError(f"need at least 8 samples per circle, got {n!r}")
-    step = 2.0 * math.pi / n
-    comps = [
-        BoundaryCurve((BoundaryPoint(k * step, h) for k in range(n)), closed=True)
-        for h in hs
-    ]
-    return AsymptoticCurve(comps)
+    return AsymptoticCurve(horizontal_circle(h, n) for h in hs)
 
 
 def graph_curve(fn: Callable[[float], float], n: int = 720) -> AsymptoticCurve:

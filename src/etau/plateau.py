@@ -521,7 +521,9 @@ def mesh_disk(boundary, n_r: int, ring_fractions: np.ndarray | None = None) -> T
     the loop centroid and the boundary samples (default: linear);
     vertex 0 is the centroid and ring ``j`` vertex ``i`` sits at index
     ``1 + (j - 1) n + i``, so grid structure is recoverable from
-    indices.  The outer ring is exactly the input loop.
+    indices.  The outer ring is the input loop up to rounding: it is
+    blended as ``center + 1.0 * (loop - center)``, which can move a
+    coordinate by an ulp (1.1e-16 on a 12-sample circle of radius 0.6).
     """
     loop = _loop_array(boundary)
     if n_r < 1:

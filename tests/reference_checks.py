@@ -6,9 +6,15 @@ sample distances.  Both cost quadratic time and memory; the library's
 ``barriers.is_simple`` and ``curves._samples_within`` must return the
 same booleans.  ``reference_bisect`` is the plain bisection that
 ``numerics.bisect_monotone`` replaced with the ITP method.
-``reference_classify`` is the grid classifier that the exact event sweep
-of ``curves.classify`` replaced: it reads the verdict off a height profile
-on ``n`` angles, with tangency retries and an ``Indeterminate`` verdict.
+``reference_crossings`` is the per-angle crossing search that the sweep
+table of ``curves`` replaced: it brackets one line's crossings with a
+1e-9 vertex tolerance and raises ``ReferenceTangency`` on tangential
+contact.  ``reference_profile`` runs it on ``n`` grid angles and retries
+a touched line at ``p + 1.7e-7 k``; ``curves.height_profile`` must give
+the same bits at every angle it did not retry.  ``reference_classify``
+is the grid classifier that the exact event sweep of ``curves.classify``
+replaced: it reads the verdict off that profile, with an
+``Indeterminate`` verdict where the retries ran out.
 ``reference_kernel_evaluate`` (with its ``reference_scatter``) and
 ``reference_vertical_graph`` are the free-vertex and vertical-graph mesh
 kernels that one ``_kernels.plan`` replaced; a plan must give the same
@@ -141,6 +147,70 @@ def _runs_of(mask: np.ndarray) -> list[tuple[int, int]]:
     return runs
 
 
+class ReferenceTangency(DomainError):
+    """The vertical line meets the curve without crossing it transversally."""
+
+
+def reference_crossings(curve, p: float, tol: float = 1e-9) -> list[float]:
+    """Sorted crossing heights of the line at ``p``, rebuilt from the samples."""
+    out = []
+    for comp in curve.components:
+        theta, t = comp.theta_array(), comp.t_array()
+        steps = (np.diff(theta) + math.pi) % (2.0 * math.pi) - math.pi
+        closing = (theta[0] - theta[-1] + math.pi) % (2.0 * math.pi) - math.pi
+        theta = np.concatenate(([theta[0]], theta[0] + np.cumsum(np.append(steps, closing))))
+        t = np.append(t, t[0])
+        m = len(theta) - 1
+        lo = math.floor((theta.min() - p) / (2.0 * math.pi)) - 1
+        hi = math.ceil((theta.max() - p) / (2.0 * math.pi)) + 1
+        for k in range(lo, hi + 1):
+            target = p + 2.0 * math.pi * k
+            if target < theta.min() - tol or target > theta.max() + tol:
+                continue
+            diff = theta - target
+            near = np.abs(diff) <= tol
+            near[m] = False
+            winding = theta[m] - theta[0]
+            for i in np.flatnonzero(near[:m]):
+                prev_d = diff[i - 1] if i >= 1 else diff[m - 1] - winding
+                next_d = diff[i + 1]
+                if np.abs(prev_d) <= tol or np.abs(next_d) <= tol:
+                    raise ReferenceTangency(f"an edge of the curve lies on the line at {p!r}")
+                if prev_d * next_d > 0.0:
+                    raise ReferenceTangency(f"tangential touch of the line at {p!r}")
+                out.append(float(t[i]))
+            for i in np.flatnonzero(diff[:m] * diff[1 : m + 1] < 0.0):
+                if np.abs(diff[i]) <= tol or np.abs(diff[i + 1]) <= tol:
+                    continue
+                frac = -diff[i] / (diff[i + 1] - diff[i])
+                out.append(float(t[i] + frac * (t[i + 1] - t[i])))
+    return sorted(out)
+
+
+def reference_profile(curve, n: int, retries: int = 3):
+    """``(heights, crossing counts, retried)`` on ``n`` grid angles.
+
+    A touched line moves to ``p + 1.7e-7 k`` for ``k = 1..retries``;
+    ``retried`` marks the angles that moved, and ``heights`` is nan where
+    the retries ran out.
+    """
+    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    heights = np.full(n, math.nan)
+    counts = np.zeros(n, dtype=int)
+    retried = np.zeros(n, dtype=bool)
+    for j, p in enumerate(angles):
+        for attempt in range(retries + 1):
+            try:
+                ts = reference_crossings(curve, float(p) + attempt * 1.7e-7)
+            except ReferenceTangency:
+                retried[j] = True
+                continue
+            heights[j] = math.inf if len(ts) < 2 else min(b - a for a, b in zip(ts, ts[1:]))
+            counts[j] = len(ts)
+            break
+    return heights, counts, retried
+
+
 def reference_classify(amb, curve, n: int = 720, retries: int = 3):
     """Grid verdict as ``(value, witness, footprint minimum)``.
 
@@ -148,15 +218,16 @@ def reference_classify(amb, curve, n: int = 720, retries: int = 3):
     Tall needs every footprint grid angle above the tall threshold; the
     nonexistence verdict needs two consecutive grid angles below its own.
     """
-    profile = curves.height_profile(curve, n, retries)
+    heights, counts, _ = reference_profile(curve, n, retries)
+    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     thr_tall = curves.tall_threshold(amb)
     thr_nx = curves.nonexistence_threshold(amb)
-    heights = profile.heights
-    foot = profile.footprint()
-    if profile.flagged.any():
-        flagged = float(profile.angles[int(np.flatnonzero(profile.flagged)[0])])
+    foot = counts > 0
+    flagged = np.isnan(heights)
+    if flagged.any():
         finite = np.isfinite(heights).any()
-        return "Indeterminate", flagged, float(np.nanmin(heights)) if finite else math.inf
+        at = float(angles[int(np.flatnonzero(flagged)[0])])
+        return "Indeterminate", at, float(np.nanmin(heights)) if finite else math.inf
     foot_min = float(heights[foot].min()) if foot.any() else math.inf
     if foot.any() and bool((heights[foot] > thr_tall).all()):
         return "Tall", None, foot_min
@@ -165,11 +236,11 @@ def reference_classify(amb, curve, n: int = 720, retries: int = 3):
         start, length = max(runs, key=lambda r: r[1])
         if length >= n:
             return "NonexistenceCondition", (0.0, 2.0 * math.pi), foot_min
-        a0 = float(profile.angles[start])
+        a0 = float(angles[start])
         return "NonexistenceCondition", (a0, a0 + (length - 1) * 2.0 * math.pi / n), foot_min
     if foot.any():
         offender = int(np.argmin(np.where(foot, heights, np.inf)))
-        return "Short", float(profile.angles[offender]), foot_min
+        return "Short", float(angles[offender]), foot_min
     return "Short", math.nan, foot_min
 
 

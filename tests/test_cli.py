@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from etau import _csvio, catenoid, cli, curves
+from etau.barriers import BoundaryCurve
 from etau.errors import UsageError
-from etau.models import AmbientSpace
+from etau.models import AmbientSpace, BoundaryPoint
+from reference_checks import reference_profile
 
 
 def run(capsys, *argv):
@@ -175,10 +177,23 @@ def test_classify_file_roundtrip(tmp_path, capsys, monkeypatch):
     )
     assert rc == 0
     assert "verdict = Tall" in out
-    _, _, columns, rows = _csvio.read_table(profile_path, "height-profile")
-    assert columns == ["angle", "height", "crossings", "flagged"]
+    _, version, columns, rows = _csvio.read_table(profile_path, "height-profile")
+    assert version == 2
+    assert columns == ["angle", "height", "crossings"]
     assert len(rows) == 180
     assert all(r[2] == "2" for r in rows)
+    # the same text as the per-angle crossing search of the reference
+    loops = [
+        BoundaryCurve((BoundaryPoint(th, t) for th, t in zip(*comp)), closed=True)
+        for comp in _csvio.read_curve_components(curve_path)
+    ]
+    heights, counts, retried = reference_profile(curves.AsymptoticCurve(loops), 180)
+    assert not retried.any()
+    angles = np.linspace(0.0, 2.0 * math.pi, 180, endpoint=False)
+    assert rows == [
+        [_csvio.format_value(v) for v in (float(a), float(h), int(c))]
+        for a, h, c in zip(angles, heights, counts)
+    ]
     assert len(sweeps) == 1  # one grid sweep, for the profile CSV only
     rc, _, err = run(
         capsys, "classify", "--curve-file", str(curve_path), "--grid", "4"

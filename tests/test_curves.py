@@ -9,7 +9,12 @@ from etau import catenoid
 from etau import curves as cur
 from etau.errors import DomainError, UsageError
 from etau.models import AmbientSpace, BoundaryPoint
-from reference_checks import reference_classify
+from reference_checks import (
+    ReferenceTangency,
+    reference_classify,
+    reference_crossings,
+    reference_profile,
+)
 
 
 def ellipse_loop(theta_c, a, b, n=256):
@@ -67,7 +72,6 @@ def test_graph_curve_is_tall():
     grid = cur.height_profile(curve, n=90)
     assert (grid.crossing_counts == 1).all()
     assert np.isinf(grid.heights).all()
-    assert not grid.flagged.any()
     outcome = cur.classify(amb, curve, n=90)
     assert outcome.verdict is cur.Verdict.TALL
     assert outcome.witness is None
@@ -111,25 +115,31 @@ def test_rectangle_profile_and_verdict():
     assert cur.global_height(curve) == pytest.approx(rect.h, abs=1e-9)
 
 
-def test_vertical_edge_raises_tangency():
+def test_line_on_vertical_edge_reads_right_limit():
     amb = AmbientSpace(0.5)
     rect = bar.place_rectangle(amb, 1.0, 1.6, 0.0, 2.0 * math.pi * math.sqrt(2.0))
     curve = cur.AsymptoticCurve([bar.rectangle_boundary(rect, 160)])
     g0, _ = bar.gamma_curves(rect, 160)
-    side_angle = g0.samples[0].theta
-    with pytest.raises(cur.TangencyError):
-        cur.height_at(curve, side_angle)
+    left_side, right_side = g0.samples[0].theta, g0.samples[-1].theta
+    # the rectangle lies to the right of its left side and to the left of its right side
+    assert left_side == pytest.approx(rect.rotation + math.pi - rect.r, abs=1e-15)
+    assert cur.height_at(curve, left_side) == pytest.approx(rect.h, abs=1e-9)
+    assert cur.vertical_line_crossings(curve, right_side) == []
+    assert cur.height_at(curve, right_side) == math.inf
 
 
-def test_tangential_touch_retries():
-    # ellipse whose rightmost point sits exactly on a sweep grid angle
+def test_line_at_fold_reads_right_limit():
+    # ellipse whose rightmost point sits on a profile grid angle
     p_tan = 90 * (2.0 * math.pi / 720)
     loop = ellipse_loop(p_tan - 0.05, 0.05, 0.05)
     curve = cur.AsymptoticCurve([loop])
-    with pytest.raises(cur.TangencyError):
-        cur.vertical_line_crossings(curve, loop.samples[0].theta)
+    rightmost, leftmost = loop.samples[0].theta, loop.samples[128].theta
+    assert cur.vertical_line_crossings(curve, rightmost) == []
+    assert cur.height_at(curve, rightmost) == math.inf
+    # both arcs leave the leftmost sample to the right, from one height
+    assert len(cur.vertical_line_crossings(curve, leftmost)) == 2
+    assert 0.0 <= cur.height_at(curve, leftmost) <= 1e-12
     grid = cur.height_profile(curve, n=720)
-    assert not grid.flagged.any()
     # inside the shadow of the loop both crossings are seen
     assert grid.crossing_counts[89] == 2
     assert grid.heights[89] == pytest.approx(
@@ -285,77 +295,36 @@ def test_profile_grid_validation():
 
 
 def test_loop_arrays_are_built_once(monkeypatch):
-    calls = []
-    build = cur._closed_arrays
+    calls, tables = [], []
+    build, tabulate = cur._closed_arrays, cur._sweep_table
 
     def counting(component):
         calls.append(component)
         return build(component)
 
+    def counting_tables(curve):
+        tables.append(curve)
+        return tabulate(curve)
+
     monkeypatch.setattr(cur, "_closed_arrays", counting)
+    monkeypatch.setattr(cur, "_sweep_table", counting_tables)
     curve = cur.parallel_circles([0.0, 2.0])
     assert len(calls) == 2  # one build per loop, at construction
+    assert tables == []  # the sweep table is built on first use
     calls.clear()
+    result = cur.classify(AmbientSpace(0.5), curve, n=90)
+    assert len(result.profile.heights) == 90
+    for p in np.linspace(0.0, 2.0 * math.pi, 100):
+        assert cur.height_at(curve, float(p)) == 2.0
     cur.height_profile(curve, n=360)
-    cur.height_at(curve, 1.0)
     assert curve.t_range() == (0.0, 2.0)
     assert calls == []
-
-
-def _reference_crossings(curve, p, tol=1e-9):
-    # the per-angle crossing search as first written: every call rebuilds
-    # each loop's unwrapped arrays from its samples
-    out = []
-    for comp in curve.components:
-        theta, t = comp.theta_array(), comp.t_array()
-        steps = (np.diff(theta) + math.pi) % (2.0 * math.pi) - math.pi
-        closing = (theta[0] - theta[-1] + math.pi) % (2.0 * math.pi) - math.pi
-        theta = np.concatenate(([theta[0]], theta[0] + np.cumsum(np.append(steps, closing))))
-        t = np.append(t, t[0])
-        m = len(theta) - 1
-        lo = math.floor((theta.min() - p) / (2.0 * math.pi)) - 1
-        hi = math.ceil((theta.max() - p) / (2.0 * math.pi)) + 1
-        for k in range(lo, hi + 1):
-            target = p + 2.0 * math.pi * k
-            if target < theta.min() - tol or target > theta.max() + tol:
-                continue
-            diff = theta - target
-            near = np.abs(diff) <= tol
-            near[m] = False
-            winding = theta[m] - theta[0]
-            for i in np.flatnonzero(near[:m]):
-                prev_d = diff[i - 1] if i >= 1 else diff[m - 1] - winding
-                next_d = diff[i + 1]
-                if np.abs(prev_d) <= tol or np.abs(next_d) <= tol:
-                    raise cur.TangencyError("edge")
-                if prev_d * next_d > 0.0:
-                    raise cur.TangencyError("touch")
-                out.append(float(t[i]))
-            for i in np.flatnonzero(diff[:m] * diff[1 : m + 1] < 0.0):
-                if np.abs(diff[i]) <= tol or np.abs(diff[i + 1]) <= tol:
-                    continue
-                frac = -diff[i] / (diff[i + 1] - diff[i])
-                out.append(float(t[i] + frac * (t[i + 1] - t[i])))
-    return sorted(out)
-
-
-def _reference_profile(curve, n, retries):
-    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    heights, counts, flags = np.empty(n), np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
-    for j, p in enumerate(angles):
-        q = float(p)
-        for attempt in range(retries + 1):
-            try:
-                ts = _reference_crossings(curve, q)
-            except cur.TangencyError:
-                q = float(p) + (attempt + 1) * 1.7e-7
-                continue
-            heights[j] = math.inf if len(ts) < 2 else min(b - a for a, b in zip(ts, ts[1:]))
-            counts[j] = len(ts)
-            break
-        else:
-            heights[j], flags[j] = math.nan, True
-    return heights, counts, flags
+    assert tables == [curve]
+    # the profile reads the table for all its angles at once, not line by line
+    lines = []
+    monkeypatch.setattr(cur, "vertical_line_crossings", lambda *args: lines.append(args))
+    cur.height_profile(curve, n=360)
+    assert lines == []
 
 
 def _reference_cases():
@@ -380,20 +349,17 @@ def _reference_cases():
 @pytest.mark.parametrize("case", range(5))
 def test_sweep_matches_reference_crossing_loop(case):
     curve, special = _reference_cases()[case]
-    for n, retries in ((360, 3), (720, 3), (720, 0)):
-        got = cur.height_profile(curve, n=n, retries=retries)
-        heights, counts, flags = _reference_profile(curve, n, retries)
-        np.testing.assert_array_equal(got.heights, heights)
-        np.testing.assert_array_equal(got.crossing_counts, counts)
-        np.testing.assert_array_equal(got.flagged, flags)
+    for n in (360, 720):
+        got = cur.height_profile(curve, n=n)
+        heights, counts, retried = reference_profile(curve, n)
+        # only the ellipses' p_tan, grid angle n / 8, touches a curve
+        assert np.flatnonzero(retried).tolist() == ([n // 8] if case in (2, 3) else [])
+        np.testing.assert_array_equal(got.heights[~retried], heights[~retried])
+        np.testing.assert_array_equal(got.crossing_counts[~retried], counts[~retried])
     for p in special:
         try:
-            expected = _reference_crossings(curve, p)
-        except cur.TangencyError:
-            with pytest.raises(cur.TangencyError):
-                cur.vertical_line_crossings(curve, p)
-            with pytest.raises(cur.TangencyError):
-                cur.height_at(curve, p)
+            expected = reference_crossings(curve, p)
+        except ReferenceTangency:
             continue
         assert cur.vertical_line_crossings(curve, p) == expected
 
@@ -460,5 +426,5 @@ def test_sweep_infimum_bounds_sampled_heights(case):
     heights = [cur.height_at(curve, float(p)) for p in rng.uniform(0.0, 2.0 * math.pi, 2000)]
     assert min(heights) >= low - 1e-12
     if math.isfinite(low):
-        # 2e-9 inside the argmin cell, just past height_at's 1e-9 vertex tolerance
+        # 2e-9 inside the argmin cell
         assert cur.height_at(curve, at + side * 2e-9) == pytest.approx(low, abs=1e-6)
