@@ -6,8 +6,17 @@ A catenoid with neck parameter ``d > 0`` reaches down to hyperbolic
 radius ``arcsinh(d)`` and its height above the symmetry plane at radius
 ``s`` is an integral over the profile.  The naive integrand has an
 inverse square root singularity at the neck; substituting
-``sinh(rho) = sqrt((1 + d^2) cosh(t)^2 - 1)`` removes it, and every
-quadrature below runs in the regular variable ``t``.
+``sinh(rho) = sqrt((1 + d^2) cosh(t)^2 - 1)`` removes it, and the annulus
+area runs in the regular variable ``t``.  The heights take one more step,
+to the Gudermannian ``phi = gd(t) = arctan(sinh(t))``.  With
+``r = sqrt(1 + d^2)`` the height integrand becomes
+
+    d sqrt((1 + 4 tau^2 (r - cos(phi)) / (r + cos(phi))) / (d^2 + sin(phi)^2)),
+
+which is algebraic in ``cos(phi)`` and ``sin(phi)`` and smooth on the
+closed interval ``[0, pi / 2]``.  The height at radius ``s`` integrates it
+up to ``gd(t(s))`` and the asymptotic height up to ``pi / 2``: both are
+proper integrals, with no truncation point and no tail bound.
 
 Heights are bounded: as ``s`` grows the height tends to a finite limit
 ``asymptotic_height(d)``, which itself increases towards
@@ -29,13 +38,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .models import AmbientSpace
-from .numerics import (
-    QuadratureResult,
-    ToleranceConfig,
-    bisect_monotone,
-    integrate,
-    integrate_to_infinity,
-)
+from .numerics import QuadratureResult, ToleranceConfig, bisect_monotone, integrate
 
 __all__ = [
     "CatenoidProfile",
@@ -120,18 +123,20 @@ def neck_radius(d: float) -> float:
     return math.asinh(d)
 
 
-def _fiber_factor(tau: float, rho: float) -> float:
-    th = math.tanh(0.5 * rho)
-    return math.sqrt(1.0 + 4.0 * tau * tau * th * th)
-
-
 def _height_integrand(tau: float, d: float):
-    one_pd2 = 1.0 + d * d
+    # The height integrand in phi = gd(t).  With c = cos(phi) and
+    # q = d^2 + sin(phi)^2 = (r - c)(r + c), the fiber factor's
+    # (r - c) / (r + c) is q / (r + c)^2, which keeps the small-d neck,
+    # where r - c cancels, to full relative precision.
+    d2 = d * d
+    r = math.sqrt(1.0 + d2)
+    t2 = 4.0 * tau * tau
 
-    def f(t: float) -> float:
-        c = math.cosh(t)
-        s2 = one_pd2 * c * c - 1.0
-        return d * _fiber_factor(tau, math.asinh(math.sqrt(s2))) / math.sqrt(s2)
+    def f(phi: float) -> float:
+        sn = math.sin(phi)
+        q = d2 + sn * sn
+        p = r + math.cos(phi)
+        return d * math.sqrt((1.0 + t2 * q / (p * p)) / q)
 
     return f
 
@@ -170,7 +175,9 @@ def profile_height(
     if T == 0.0:
         return 0.0
     f = _height_integrand(profile.ambient.tau, d)
-    res = integrate(f, 0.0, T, tol if tol is not None else profile.ambient.tol)
+    res = integrate(
+        f, 0.0, math.atan(math.sinh(T)), tol if tol is not None else profile.ambient.tol
+    )
     return _converged_value(res, "profile height")
 
 
@@ -191,29 +198,12 @@ def product_profile_height(
 def asymptotic_height(
     profile: CatenoidProfile, tol: ToleranceConfig | None = None
 ) -> float:
-    """Limit of :func:`profile_height` as the radius goes to infinity."""
-    d = profile.d
-    tau = profile.ambient.tau
-    f = _height_integrand(tau, d)
-    front = math.sqrt(1.0 + 4.0 * tau * tau) * d / math.sqrt(1.0 + d * d)
+    """Limit of :func:`profile_height` as the radius goes to infinity.
 
-    def tail(T: float) -> float:
-        # integrand <= front * sech(t) / sqrt(1 - 1 / ((1+d^2) cosh(T)^2))
-        # for t >= T, and the sech tail integrates to 2 arctan(e^-T) <= 2 e^-T.
-        # A finite cosh(T) also keeps the integrand finite on [0, T].
-        try:
-            c = math.cosh(T)
-        except OverflowError:
-            raise DomainError(
-                f"asymptotic height: truncation point {T!r} overflows cosh; "
-                "the absolute tolerance is too small"
-            ) from None
-        margin = 1.0 - 1.0 / ((1.0 + d * d) * c * c)
-        return front / math.sqrt(margin) * 2.0 * math.exp(-T)
-
-    res = integrate_to_infinity(
-        f, 0.0, tail, tol if tol is not None else profile.ambient.tol
-    )
+    The height integrand in the Gudermannian variable over ``[0, pi / 2]``.
+    """
+    f = _height_integrand(profile.ambient.tau, profile.d)
+    res = integrate(f, 0.0, 0.5 * math.pi, tol if tol is not None else profile.ambient.tol)
     return _converged_value(res, "asymptotic height")
 
 
@@ -292,15 +282,16 @@ def annulus_area(trunc: TruncatedCatenoid, tol: ToleranceConfig | None = None) -
     """Area of the truncated catenoid (both halves) at radius ``R``."""
     d = trunc.profile.d
     tau = trunc.profile.ambient.tau
-    one_pd2 = 1.0 + d * d
+    r = math.sqrt(1.0 + d * d)
+    t2 = 4.0 * tau * tau
     T = _height_upper_limit(d, trunc.R)
     if T == 0.0:
         return 0.0
 
     def f(t: float) -> float:
-        c = math.cosh(t)
-        sh = math.sqrt(one_pd2 * c * c - 1.0)
-        return sh * _fiber_factor(tau, math.asinh(sh))
+        # k = cosh(rho): sinh(rho) sqrt(1 + 4 tau^2 tanh(rho / 2)^2)
+        k = r * math.cosh(t)
+        return math.sqrt((k * k - 1.0) * (1.0 + t2 * (k - 1.0) / (k + 1.0)))
 
     res = integrate(f, 0.0, T, tol if tol is not None else trunc.profile.ambient.tol)
     return 4.0 * math.pi * _converged_value(res, "annulus area")

@@ -28,7 +28,12 @@ replaced; it must raise the same error or find the same boundary.
 ``reference_mesh_disk`` builds its rings one at a time and
 ``reference_two_disk_mesh`` joins two checked disk meshes into a third;
 the array-built ``plateau.mesh_disk`` and ``plateau._two_disk_mesh`` must
-give the same meshes bit for bit.
+give the same meshes bit for bit.  ``reference_asymptotic_height`` is the
+catenoid asymptotic height as an improper integral in the regular
+variable ``t``, cut off by ``integrate_to_infinity`` where a tail bound
+falls below half the absolute tolerance; ``catenoid.asymptotic_height``
+replaced it with a proper integral in ``gd(t)`` and must agree within
+both quadrature tolerances.
 """
 
 import functools
@@ -42,6 +47,7 @@ from etau._kernels.mesh_numpy import _DEGEN_REL
 from etau.barriers import BoundaryCurve, _segments
 from etau.errors import DomainError
 from etau.models import fiber_form
+from etau.numerics import QuadratureResult, ToleranceConfig, _as_tolerances, integrate
 
 
 def reference_is_simple(curve: BoundaryCurve, tol: float = 1e-12, block: int = 512) -> bool:
@@ -532,3 +538,58 @@ def reference_two_disk_mesh(radius, h, n_r, n_theta):
     tris = np.vstack([top.triangles, bot.triangles + offset])
     mask = np.concatenate([top.boundary_mask, bot.boundary_mask])
     return plateau.TriMesh(vertices, tris, mask)
+
+
+def integrate_to_infinity(f, a: float, tail_bound, tol=None) -> QuadratureResult:
+    """Integrate f over [a, oo) given a decreasing bound on the neglected tail.
+
+    `tail_bound(T)` must bound |integral of f over [T, oo)| from above.  The
+    truncation point is pushed out by doubling until the bound drops below
+    half the absolute tolerance; the bound is then folded into the reported
+    error estimate.
+    """
+    tols = _as_tolerances(tol)
+    a = float(a)
+    half = 0.5 * tols.abs_tol
+    span = 1.0
+    tail = float(tail_bound(a + span))
+    while tail > half:
+        span *= 2.0
+        if span > 2.0**60:
+            raise DomainError("tail bound does not fall below %g" % half)
+        tail = float(tail_bound(a + span))
+        if not math.isfinite(tail):
+            raise DomainError("tail bound returned non-finite value")
+    inner = integrate(f, a, a + span, ToleranceConfig(half, tols.rel_tol, tols.max_evals))
+    return QuadratureResult(
+        inner.value,
+        inner.error_estimate + tail,
+        inner.evaluations,
+        inner.converged,
+    )
+
+
+def reference_asymptotic_height(tau: float, d: float, tol=None) -> QuadratureResult:
+    """Asymptotic catenoid height as an improper integral in ``t``.
+
+    The integrand is ``d sqrt(1 + 4 tau^2 tanh(rho / 2)^2) / sinh(rho)``
+    with ``sinh(rho) = sqrt((1 + d^2) cosh(t)^2 - 1)``.
+    """
+    one_pd2 = 1.0 + d * d
+
+    def f(t: float) -> float:
+        c = math.cosh(t)
+        s2 = one_pd2 * c * c - 1.0
+        th = math.tanh(0.5 * math.asinh(math.sqrt(s2)))
+        return d * math.sqrt(1.0 + 4.0 * tau * tau * th * th) / math.sqrt(s2)
+
+    front = math.sqrt(1.0 + 4.0 * tau * tau) * d / math.sqrt(one_pd2)
+
+    def tail(T: float) -> float:
+        # integrand <= front * sech(t) / sqrt(1 - 1 / ((1+d^2) cosh(T)^2))
+        # for t >= T, and the sech tail integrates to 2 arctan(e^-T) <= 2 e^-T
+        c = math.cosh(T)
+        margin = 1.0 - 1.0 / (one_pd2 * c * c)
+        return front / math.sqrt(margin) * 2.0 * math.exp(-T)
+
+    return integrate_to_infinity(f, 0.0, tail, tol)

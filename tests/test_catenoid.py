@@ -7,6 +7,7 @@ from etau import catenoid as cat
 from etau.errors import DomainError, QuadratureError
 from etau.models import AmbientSpace, CylinderPoint, patch_area
 from etau.numerics import ToleranceConfig
+from reference_checks import reference_asymptotic_height
 
 # high-precision reference values, frozen from an independent multiprecision
 # quadrature of the defining integrals (40 digits, tanh-sinh rule)
@@ -132,6 +133,63 @@ def test_neck_inversion_evaluates_each_height_once(monkeypatch, tau, fraction):
     assert len(set(calls)) == len(calls)
     assert len(calls) <= 20
     assert abs(height(cat.CatenoidProfile(amb, d)) - target) <= 1e-10
+
+
+def test_neck_inversion_evaluation_budget(monkeypatch):
+    # the nine inversions above, summed over every quadrature they run
+    evaluations = []
+    original = cat.integrate
+
+    def counting(*args, **kwargs):
+        res = original(*args, **kwargs)
+        evaluations.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(cat, "integrate", counting)
+    for tau in (0.0, 0.5, 1.2):
+        amb = AmbientSpace(tau)
+        for fraction in (0.05, 0.5, 0.95):
+            cat.neck_parameter_for_height(amb, fraction * cat.asymptotic_height_supremum(amb))
+    assert sum(evaluations) <= 12_000
+
+
+def _h0_closed_form(d):
+    # tau = 0: d times the integral of (d^2 + sin^2)^(-1/2) over [0, pi/2]
+    # is k' K(k) = (pi / 2) k' / AGM(1, k') with k' = d / sqrt(1 + d^2).
+    # The AGM converges quadratically; a fixed count covers d >= 1e-4.
+    kp = d / math.sqrt(1.0 + d * d)
+    a, b = 1.0, kp
+    for _ in range(12):
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * math.pi * kp / a
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.2])
+def test_asymptotic_height_matches_improper_reference(tau):
+    for d in np.geomspace(1e-4, 1e6, 21):
+        d = float(d)
+        got = cat.asymptotic_height(profile(tau, d))
+        ref = reference_asymptotic_height(tau, d)
+        assert ref.converged
+        assert got == pytest.approx(ref.value, abs=5e-11)
+
+
+def test_asymptotic_height_matches_agm_closed_form():
+    for d in np.geomspace(1e-4, 1e6, 41):
+        d = float(d)
+        got = cat.asymptotic_height(profile(0.0, d))
+        assert got == pytest.approx(_h0_closed_form(d), abs=1e-14)
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.5, 1.2])
+def test_asymptotic_height_sandwich(tau):
+    # the fiber factor sqrt(1 + 4 tau^2 tanh^2) lies in [1, sqrt(1 + 4 tau^2)]
+    stretch = math.sqrt(1.0 + 4.0 * tau * tau)
+    for d in np.geomspace(1e-4, 1e6, 21):
+        d = float(d)
+        h0 = cat.asymptotic_height(profile(0.0, d))
+        h = cat.asymptotic_height(profile(tau, d))
+        assert h0 <= h <= stretch * h0
 
 
 def test_connected_boundary_evaluates_each_height_once(monkeypatch):
@@ -295,9 +353,10 @@ def test_annulus_vertex_grid_shape_and_symmetry():
 
 
 def test_exhausted_quadrature_budget_raises():
-    # one Gauss-Kronrod panel (15 evaluations) cannot meet the default tolerance
+    # one Gauss-Kronrod panel (15 evaluations) cannot meet the default
+    # tolerance across the narrow neck of a small-d catenoid
     amb = AmbientSpace(0.5, tol=ToleranceConfig(max_evals=15))
-    profile = cat.CatenoidProfile(amb, 2.0)
+    profile = cat.CatenoidProfile(amb, 0.1)
     with pytest.raises(QuadratureError, match="profile height"):
         cat.profile_height(profile, 2.5)
     with pytest.raises(QuadratureError, match="asymptotic height"):

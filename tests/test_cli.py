@@ -56,15 +56,15 @@ def test_catenoid_height_reports_unconverged_quadrature(capsys):
     assert "asymptotic height: quadrature stopped" in err
 
 
-def test_catenoid_height_reports_cosh_overflow(capsys):
-    # a tail bound below 1e-300 needs a truncation point where cosh overflows
+def test_catenoid_height_reports_unreachable_tiny_tolerance(capsys):
+    # a 1e-300 tolerance lies far below the quadrature's rounding floor
     rc, out, err = run(
         capsys, "catenoid-height", "--tau", "0.5", "--d", "2.0",
         "--abs-tol", "1e-300", "--rel-tol", "1e-300",
     )
     assert rc == 2
     assert out == ""
-    assert err.startswith("error: asymptotic height: truncation point")
+    assert err.startswith("error: asymptotic height: quadrature stopped")
 
 
 def test_lemmas_reports_cosh_overflow(tmp_path, capsys):

@@ -423,8 +423,12 @@ def test_sweep_infimum_bounds_sampled_heights(case):
     low, at, side = cur._infimum(*cur._gaps(curve)[:4])
     assert cur.global_height(curve) == low
     rng = np.random.default_rng(1100 + case)
-    heights = [cur.height_at(curve, float(p)) for p in rng.uniform(0.0, 2.0 * math.pi, 2000)]
-    assert min(heights) >= low - 1e-12
+    angles = rng.uniform(0.0, 2.0 * math.pi, 2000)
+    heights = cur._lines(curve, angles)[2]
+    assert heights.min() >= low - 1e-12
+    # one batch reads the same bits as the public single-angle reader
+    for i in range(0, len(angles), 100):
+        assert cur.height_at(curve, float(angles[i])) == heights[i]
     if math.isfinite(low):
         # 2e-9 inside the argmin cell
         assert cur.height_at(curve, at + side * 2e-9) == pytest.approx(low, abs=1e-6)

