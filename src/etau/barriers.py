@@ -1,5 +1,13 @@
 """Asymptotic boundary data for barrier surfaces on the cylinder at infinity.
 
+Every sampled curve is a :class:`BoundaryCurve`, stored as two read-only
+arrays: angles in ``[0, 2 pi)`` and heights.  The builders here (circles,
+arcs, rectangle loops, translations and rotations) and the readers in
+:mod:`etau.curves` and :mod:`etau.cli` work on these arrays as wholes;
+:meth:`BoundaryCurve.from_arrays` is the constructor for array input, and
+``BoundaryCurve.samples`` makes the per-sample ``BoundaryPoint`` tuple only
+when it is first read.
+
 A tall rectangle is bounded at infinity by two helical-looking arcs
 ``gamma0``, ``gamma1`` over an angular window of width ``2 r`` around the
 angle ``pi``, joined by two vertical segments of extent ``h``.  The arcs
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -50,33 +59,54 @@ def _wrapped_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(d, 2.0 * math.pi - d)
 
 
-def _read_only(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryCurve:
     """Sampled curve on the cylinder at infinity.
 
     Samples are ordered along the curve; consecutive samples must stay
     within one degree of angular separation so that downstream crossing
     detection sees every transversal passage.  A closed curve wraps from
-    its last sample back to its first without a stored duplicate.  The
-    sample coordinates are also kept as read-only arrays, built once.
+    its last sample back to its first without a stored duplicate.
+
+    The curve is stored as two read-only arrays, angles in ``[0, 2 pi)``
+    and heights.  :meth:`from_arrays` builds it from arrays; the
+    constructor takes :class:`BoundaryPoint` samples and unpacks them into
+    the same path.  ``samples``, the points again, is built on first
+    access only.  Equality compares ``closed`` and the arrays.
     """
 
-    samples: tuple[BoundaryPoint, ...]
     closed: bool
-    _theta: np.ndarray = field(repr=False, compare=False)
-    _t: np.ndarray = field(repr=False, compare=False)
+    _theta: np.ndarray = field(repr=False)
+    _t: np.ndarray = field(repr=False)
 
     def __init__(self, samples: Iterable[BoundaryPoint], closed: bool) -> None:
         pts = tuple(samples)
-        if len(pts) < 2:
+        self._store([p.theta for p in pts], [p.t for p in pts], closed)
+
+    @classmethod
+    def from_arrays(cls, theta, t, closed: bool) -> "BoundaryCurve":
+        """Curve through the samples ``(theta[i], t[i])``; the inputs are copied."""
+        curve = cls.__new__(cls)
+        curve._store(theta, t, closed)
+        return curve
+
+    def _store(self, theta, t, closed: bool) -> None:
+        # the one validation path: BoundaryPoint's checks, on whole arrays
+        theta = np.array(theta, dtype=float)
+        t = np.array(t, dtype=float)
+        if theta.ndim != 1 or theta.shape != t.shape:
+            raise UsageError(
+                f"need 1-d angle and height arrays of one length, got shapes "
+                f"{theta.shape} and {t.shape}"
+            )
+        if not (np.isfinite(theta).all() and np.isfinite(t).all()):
+            raise UsageError("boundary point coordinates must be finite")
+        if len(theta) < 2:
             raise DomainError("boundary curve needs at least 2 samples")
-        theta = _read_only([p.theta for p in pts])
+        two_pi = 2.0 * math.pi
+        theta = np.remainder(theta, two_pi, out=theta)
+        # the remainder of a tiny negative angle rounds up to 2 pi itself
+        theta[theta == two_pi] = 0.0
         nxt = np.roll(theta, -1) if closed else theta[1:]
         wide = np.flatnonzero(
             _wrapped_gap(theta[: len(nxt)], nxt) > ANGULAR_RESOLUTION + 1e-12
@@ -85,12 +115,33 @@ class BoundaryCurve:
             i = int(wide[0])
             raise DomainError(
                 "adjacent samples exceed the one-degree angular resolution "
-                f"contract: {pts[i].theta!r} to {pts[(i + 1) % len(pts)].theta!r}"
+                f"contract: {float(theta[i])!r} to {float(theta[(i + 1) % len(theta)])!r}"
             )
-        object.__setattr__(self, "samples", pts)
+        theta.flags.writeable = False
+        t.flags.writeable = False
         object.__setattr__(self, "closed", bool(closed))
         object.__setattr__(self, "_theta", theta)
-        object.__setattr__(self, "_t", _read_only([p.t for p in pts]))
+        object.__setattr__(self, "_t", t)
+
+    @cached_property
+    def samples(self) -> tuple[BoundaryPoint, ...]:
+        """The samples as points, built on first access and kept."""
+        return tuple(
+            BoundaryPoint(th, t) for th, t in zip(self._theta.tolist(), self._t.tolist())
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BoundaryCurve):
+            return NotImplemented
+        return (
+            self.closed == other.closed
+            and np.array_equal(self._theta, other._theta)
+            and np.array_equal(self._t, other._t)
+        )
+
+    def __hash__(self) -> int:
+        # normalized angles hold no -0.0, so equal curves have equal angle bytes
+        return hash((self.closed, self._theta.tobytes()))
 
     def theta_array(self) -> np.ndarray:
         """Sample angles, in order, as a read-only array."""
@@ -101,14 +152,10 @@ class BoundaryCurve:
         return self._t
 
     def translated(self, dt: float) -> "BoundaryCurve":
-        return BoundaryCurve(
-            (BoundaryPoint(p.theta, p.t + dt) for p in self.samples), self.closed
-        )
+        return BoundaryCurve.from_arrays(self._theta, self._t + dt, self.closed)
 
     def rotated(self, alpha: float) -> "BoundaryCurve":
-        return BoundaryCurve(
-            (BoundaryPoint(p.theta + alpha, p.t) for p in self.samples), self.closed
-        )
+        return BoundaryCurve.from_arrays(self._theta + alpha, self._t, self.closed)
 
 
 def min_rectangle_height(amb: AmbientSpace) -> float:
@@ -168,11 +215,9 @@ def gamma_curves(rect: TallRectangleBoundary, n: int) -> tuple[BoundaryCurve, Bo
         raise UsageError(f"need at least 2 samples per arc, got {n!r}")
     tau = rect.amb.tau
     thetas = np.linspace(-rect.r, rect.r, n)
-    lower = BoundaryCurve(
-        (
-            BoundaryPoint(math.pi + th + rect.rotation, -2.0 * tau * th + rect.vertical_offset)
-            for th in thetas
-        ),
+    lower = BoundaryCurve.from_arrays(
+        math.pi + thetas + rect.rotation,
+        -2.0 * tau * thetas + rect.vertical_offset,
         closed=False,
     )
     return lower, lower.translated(rect.h)
@@ -185,16 +230,15 @@ def rectangle_boundary(rect: TallRectangleBoundary, n: int) -> BoundaryCurve:
     """
     g0, g1 = gamma_curves(rect, n)
     n_side = max(2, n // 2)
-    right_theta = g0.samples[-1].theta
-    left_theta = g0.samples[0].theta
-    up = np.linspace(g0.samples[-1].t, g1.samples[-1].t, n_side)
-    down = np.linspace(g1.samples[0].t, g0.samples[0].t, n_side)
-    pts: list[BoundaryPoint] = []
-    pts.extend(g0.samples[:-1])
-    pts.extend(BoundaryPoint(right_theta, t) for t in up[:-1])
-    pts.extend(reversed(g1.samples[1:]))
-    pts.extend(BoundaryPoint(left_theta, t) for t in down[:-1])
-    loop = BoundaryCurve(pts, closed=True)
+    theta, lower, upper = g0.theta_array(), g0.t_array(), g1.t_array()
+    right, left = np.full(n_side - 1, theta[-1]), np.full(n_side - 1, theta[0])
+    up = np.linspace(lower[-1], upper[-1], n_side)[:-1]
+    down = np.linspace(upper[0], lower[0], n_side)[:-1]
+    loop = BoundaryCurve.from_arrays(
+        np.concatenate((theta[:-1], right, theta[:0:-1], left)),
+        np.concatenate((lower[:-1], up, upper[:0:-1], down)),
+        closed=True,
+    )
     if not is_simple(loop):
         raise DomainError("rectangle boundary samples self-intersect")
     return loop
@@ -249,15 +293,36 @@ def _angular_window_pairs(
         yield i, order[(lo[i] + flat - starts[i]) % nb]
 
 
+def _folds_back(segs: np.ndarray, closed: bool, tol: float) -> bool:
+    # whether two adjacent segments turn back onto each other: directions
+    # more than 90 degrees apart, with the far end of the shorter segment
+    # within tol of the longer one's line, so that it rests on that segment
+    ux, uy = segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1]
+    if closed:
+        vx, vy = np.concatenate((ux[1:], ux[:1])), np.concatenate((uy[1:], uy[:1]))
+    else:
+        ux, uy, vx, vy = ux[:-1], uy[:-1], ux[1:], uy[1:]
+    back = ux * vx + uy * vy < 0.0
+    if not back.any():
+        return False
+    ux, uy, vx, vy = ux[back], uy[back], vx[back], vy[back]
+    longer = np.maximum(np.hypot(ux, uy), np.hypot(vx, vy))
+    return bool((np.abs(ux * vy - uy * vx) <= tol * longer).any())
+
+
 def is_simple(curve: BoundaryCurve, tol: float = 1e-12) -> bool:
     """Check the sample segments for self-intersections.
 
-    Adjacent segments share an endpoint and are exempt; every other pair
-    is tested after unwrapping it to a common angular chart.  Contact
+    Adjacent segments share an endpoint and are exempt from the pair
+    test, unless one turns back onto the other: collinear and opposite
+    (within ``tol`` of the longer one's line), they overlap beyond that
+    endpoint.  This also catches the folded closed loops of 2 or 3
+    samples, in which every pair of segments is adjacent.  Every other
+    pair is tested after unwrapping it to a common angular chart.  Contact
     counts: a crossing passing exactly through a sample vertex, or a
     vertex resting on another segment, makes the curve non-simple.
-    Collinear runs of samples stay fine because their bounding boxes are
-    separated by at least one sample step.
+    Collinear runs of samples that go on forward stay fine because their
+    bounding boxes are separated by at least one sample step.
 
     Two segments whose padded bounding boxes meet have mid-angles within
     ``w = max |b_theta - a_theta| + 2 tol`` of each other (mod 2 pi), with
@@ -271,6 +336,8 @@ def is_simple(curve: BoundaryCurve, tol: float = 1e-12) -> bool:
     all-pairs result.
     """
     segs = _segments(curve)
+    if _folds_back(segs, curve.closed, tol):
+        return False
     m = len(segs)
     if m < 3:
         return True
@@ -388,13 +455,10 @@ def containment_sweep(
         start, width = theta2, 2.0 * math.pi - raw
     else:
         start, width = theta1, raw
-    for p in loop.samples:
-        off = (p.theta - start) % (2.0 * math.pi)
-        if off > width + 1e-9 and off < 2.0 * math.pi - 1e-9:
-            return False
-        if not (t1 < p.t < t2):
-            return False
-    return True
+    off = (loop.theta_array() - start) % (2.0 * math.pi)
+    outside = (off > width + 1e-9) & (off < 2.0 * math.pi - 1e-9)
+    t = loop.t_array()
+    return not outside.any() and bool(((t1 < t) & (t < t2)).all())
 
 
 def horizontal_circle(t: float, n: int = 720) -> BoundaryCurve:
@@ -402,9 +466,7 @@ def horizontal_circle(t: float, n: int = 720) -> BoundaryCurve:
     if n < 3:
         raise UsageError(f"need at least 3 samples on a circle, got {n!r}")
     step = 2.0 * math.pi / n
-    return BoundaryCurve(
-        (BoundaryPoint(k * step, t) for k in range(n)), closed=True
-    )
+    return BoundaryCurve.from_arrays(np.arange(n) * step, np.full(n, t), closed=True)
 
 
 def catenoid_asymptotic_circles(

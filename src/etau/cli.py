@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _csvio, barriers, catenoid, curves, isometries, plateau
 from .errors import DomainError, QuadratureError, UsageError
-from .models import AmbientSpace, BoundaryPoint
+from .models import AmbientSpace
 from .numerics import ToleranceConfig
 
 __all__ = ["main", "build_parser", "load_config"]
@@ -246,14 +246,9 @@ def cmd_isometry_bound(args) -> int:
 def cmd_classify(args) -> int:
     amb = _ambient(args)
     comps = _csvio.read_curve_components(args.curve_file)
-    loops = [
-        barriers.BoundaryCurve(
-            (BoundaryPoint(float(th), float(t)) for th, t in zip(ths, ts)),
-            closed=True,
-        )
-        for ths, ts in comps
-    ]
-    curve = curves.AsymptoticCurve(loops)
+    curve = curves.AsymptoticCurve(
+        barriers.BoundaryCurve.from_arrays(ths, ts, closed=True) for ths, ts in comps
+    )
     result = curves.classify(amb, curve, n=args.grid)
     print(f"verdict = {result.verdict.value}")
     print(f"tall_threshold = {result.tall_threshold!r}")
@@ -398,7 +393,7 @@ def cmd_rectangle(args) -> int:
     print(f"h = {rect.h!r}, r = {rect.r!r}")
     print(f"rotation = {rect.rotation!r}, vertical_offset = {rect.vertical_offset!r}")
     print(f"containment = {str(contained).lower()}")
-    print(f"samples = {len(loop.samples)} -> {args.output}")
+    print(f"samples = {len(loop.theta_array())} -> {args.output}")
     return 0
 
 

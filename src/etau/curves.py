@@ -8,6 +8,10 @@ height is infinite.  The classifier compares heights against the two
 thresholds ``sqrt(1+4 tau^2) pi`` (tall) and ``(sqrt(1+4 tau^2)-4 tau) pi``
 (the nonexistence condition, vacuous once tau >= 1/sqrt(12)).
 
+Each loop is a ``barriers.BoundaryCurve``, whose angle and height arrays
+are all that this module reads; :func:`parallel_circles` and
+:func:`graph_curve` build their loops from arrays with
+``BoundaryCurve.from_arrays``, so no ``BoundaryPoint`` is made.
 Construction checks that every loop is simple (``barriers.is_simple``)
 and that no two loops come within ``1e-6`` of each other on samples.
 Both checks draw their candidate pairs from an angular window, so they
@@ -42,7 +46,7 @@ from .barriers import (
     min_rectangle_height,
 )
 from .errors import DomainError, UsageError
-from .models import AmbientSpace, BoundaryPoint, CylinderPoint
+from .models import AmbientSpace, CylinderPoint
 
 __all__ = [
     "AsymptoticCurve",
@@ -427,15 +431,13 @@ def radial_projection(
             f"curve t-range [{lo!r}, {hi!r}] exits the open slab (-{T!r}, {T!r})"
         )
     radius = math.tanh(n)
-    out = []
-    for comp in curve.components:
-        out.append(
-            [
-                CylinderPoint(radius * math.cos(p.theta), radius * math.sin(p.theta), p.t)
-                for p in comp.samples
-            ]
-        )
-    return out
+    return [
+        [
+            CylinderPoint(radius * math.cos(th), radius * math.sin(th), t)
+            for th, t in zip(comp.theta_array().tolist(), comp.t_array().tolist())
+        ]
+        for comp in curve.components
+    ]
 
 
 def parallel_circles(heights: Sequence[float], n: int = 720) -> AsymptoticCurve:
@@ -454,8 +456,6 @@ def graph_curve(fn: Callable[[float], float], n: int = 720) -> AsymptoticCurve:
     """Single loop ``theta |-> (theta, fn(theta))`` sampled on ``n`` angles."""
     if n < 8:
         raise UsageError(f"need at least 8 samples, got {n!r}")
-    step = 2.0 * math.pi / n
-    comp = BoundaryCurve(
-        (BoundaryPoint(k * step, float(fn(k * step))) for k in range(n)), closed=True
-    )
-    return AsymptoticCurve([comp])
+    theta = np.arange(n) * (2.0 * math.pi / n)
+    t = [float(fn(th)) for th in theta.tolist()]
+    return AsymptoticCurve([BoundaryCurve.from_arrays(theta, t, closed=True)])

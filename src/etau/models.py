@@ -102,7 +102,9 @@ class BoundaryPoint:
     def __post_init__(self):
         if not (math.isfinite(self.theta) and math.isfinite(self.t)):
             raise UsageError("boundary point coordinates must be finite")
-        object.__setattr__(self, "theta", self.theta % (2.0 * math.pi))
+        theta = self.theta % (2.0 * math.pi)
+        # the remainder of a tiny negative angle rounds up to 2 pi itself
+        object.__setattr__(self, "theta", 0.0 if theta == 2.0 * math.pi else theta)
 
 
 @dataclass(frozen=True)

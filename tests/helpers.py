@@ -51,6 +51,15 @@ def dense_polyline(corners, closed, step=0.008):
     return BoundaryCurve(pts, closed)
 
 
+def same_bits(a, b):
+    """Whether two curves have the same closedness and bit-identical arrays."""
+    return (
+        a.closed == b.closed
+        and a.theta_array().tobytes() == b.theta_array().tobytes()
+        and a.t_array().tobytes() == b.t_array().tobytes()
+    )
+
+
 class _CountedEvaluation:
     def __init__(self, ev, record):
         self._ev = ev

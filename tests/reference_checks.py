@@ -1,10 +1,19 @@
 """Plain forms of library algorithms, kept as oracles for the faster ones.
 
-``reference_is_simple`` tests every pair of sample segments and
+``reference_is_simple`` tests every pair of sample segments, after a
+per-pair loop over adjacent ones for folds, and
 ``reference_min_sample_distance`` builds the full matrix of wrapped
 sample distances.  Both cost quadratic time and memory; the library's
 ``barriers.is_simple`` and ``curves._samples_within`` must return the
-same booleans.  ``reference_bisect`` is the plain bisection that
+same booleans.  The per-point builders ``reference_horizontal_circle``,
+``reference_translated``, ``reference_rotated``,
+``reference_gamma_curves``, ``reference_rectangle_boundary``,
+``reference_graph_curve`` (and the compositions
+``reference_parallel_circles`` and
+``reference_catenoid_asymptotic_circles``) make one ``BoundaryPoint``
+per sample, as the library did before it built curves from arrays;
+the array builders must give the same arrays bit for bit, and
+``reference_containment_sweep`` the same verdicts.  ``reference_bisect`` is the plain bisection that
 ``numerics.bisect_monotone`` replaced with the ITP method.
 ``reference_crossings`` is the per-angle crossing search that the sweep
 table of ``curves`` replaced: it brackets one line's crossings with a
@@ -45,8 +54,9 @@ import numpy as np
 from etau import _kernels, curves, plateau
 from etau._kernels.mesh_numpy import _DEGEN_REL
 from etau.barriers import BoundaryCurve, _segments
+from etau.catenoid import CatenoidProfile, asymptotic_height
 from etau.errors import DomainError
-from etau.models import fiber_form
+from etau.models import BoundaryPoint, fiber_form
 from etau.numerics import QuadratureResult, ToleranceConfig, _as_tolerances, integrate
 
 
@@ -54,6 +64,15 @@ def reference_is_simple(curve: BoundaryCurve, tol: float = 1e-12, block: int = 5
     """Self-intersection test over all segment pairs, ``block`` rows at a time."""
     segs = _segments(curve)
     m = len(segs)
+    rows = segs.tolist()
+    adjacent = [(i, i + 1) for i in range(m - 1)] + ([(m - 1, 0)] if curve.closed else [])
+    for i, j in adjacent:
+        # a fold: the next segment turns back onto this one
+        ux, uy = rows[i][2] - rows[i][0], rows[i][3] - rows[i][1]
+        vx, vy = rows[j][2] - rows[j][0], rows[j][3] - rows[j][1]
+        longer = max(math.hypot(ux, uy), math.hypot(vx, vy))
+        if ux * vx + uy * vy < 0.0 and abs(ux * vy - uy * vx) <= tol * longer:
+            return False
     if m < 3:
         return True
     ax, ay, bx, by = segs[:, 0], segs[:, 1], segs[:, 2], segs[:, 3]
@@ -92,6 +111,92 @@ def reference_is_simple(curve: BoundaryCurve, tol: float = 1e-12, block: int = 5
         if contact.any():
             return False
     return True
+
+
+def reference_horizontal_circle(t: float, n: int = 720) -> BoundaryCurve:
+    """``barriers.horizontal_circle`` built one point at a time."""
+    step = 2.0 * math.pi / n
+    return BoundaryCurve((BoundaryPoint(k * step, t) for k in range(n)), closed=True)
+
+
+def reference_translated(curve: BoundaryCurve, dt: float) -> BoundaryCurve:
+    """``BoundaryCurve.translated`` built one point at a time."""
+    return BoundaryCurve((BoundaryPoint(p.theta, p.t + dt) for p in curve.samples), curve.closed)
+
+
+def reference_rotated(curve: BoundaryCurve, alpha: float) -> BoundaryCurve:
+    """``BoundaryCurve.rotated`` built one point at a time."""
+    return BoundaryCurve(
+        (BoundaryPoint(p.theta + alpha, p.t) for p in curve.samples), curve.closed
+    )
+
+
+def reference_gamma_curves(rect, n: int) -> tuple[BoundaryCurve, BoundaryCurve]:
+    """``barriers.gamma_curves`` built one point at a time."""
+    tau = rect.amb.tau
+    lower = BoundaryCurve(
+        (
+            BoundaryPoint(math.pi + th + rect.rotation, -2.0 * tau * th + rect.vertical_offset)
+            for th in np.linspace(-rect.r, rect.r, n)
+        ),
+        closed=False,
+    )
+    return lower, reference_translated(lower, rect.h)
+
+
+def reference_rectangle_boundary(rect, n: int) -> BoundaryCurve:
+    """``barriers.rectangle_boundary`` joined point by point, without its simplicity check."""
+    g0, g1 = reference_gamma_curves(rect, n)
+    n_side = max(2, n // 2)
+    right_theta = g0.samples[-1].theta
+    left_theta = g0.samples[0].theta
+    up = np.linspace(g0.samples[-1].t, g1.samples[-1].t, n_side)
+    down = np.linspace(g1.samples[0].t, g0.samples[0].t, n_side)
+    pts = list(g0.samples[:-1])
+    pts.extend(BoundaryPoint(right_theta, t) for t in up[:-1])
+    pts.extend(reversed(g1.samples[1:]))
+    pts.extend(BoundaryPoint(left_theta, t) for t in down[:-1])
+    return BoundaryCurve(pts, closed=True)
+
+
+def reference_containment_sweep(rect, theta1, theta2, t1, t2, n: int = 1000) -> bool:
+    """``barriers.containment_sweep`` as a loop over the boundary points."""
+    loop = reference_rectangle_boundary(rect, max(2, n // 3))
+    raw = (theta2 - theta1) % (2.0 * math.pi)
+    if raw > math.pi:
+        start, width = theta2, 2.0 * math.pi - raw
+    else:
+        start, width = theta1, raw
+    for p in loop.samples:
+        off = (p.theta - start) % (2.0 * math.pi)
+        if off > width + 1e-9 and off < 2.0 * math.pi - 1e-9:
+            return False
+        if not (t1 < p.t < t2):
+            return False
+    return True
+
+
+def reference_graph_curve(fn, n: int = 720):
+    """``curves.graph_curve`` built one point at a time."""
+    step = 2.0 * math.pi / n
+    comp = BoundaryCurve(
+        (BoundaryPoint(k * step, float(fn(k * step))) for k in range(n)), closed=True
+    )
+    return curves.AsymptoticCurve([comp])
+
+
+def reference_parallel_circles(heights, n: int = 720):
+    """``curves.parallel_circles`` from per-point circles."""
+    return curves.AsymptoticCurve(reference_horizontal_circle(h, n) for h in heights)
+
+
+def reference_catenoid_asymptotic_circles(amb, d: float, t_offset: float = 0.0, n: int = 720):
+    """``barriers.catenoid_asymptotic_circles`` from per-point circles."""
+    hh = asymptotic_height(CatenoidProfile(amb, d))
+    return (
+        reference_horizontal_circle(t_offset - hh, n),
+        reference_horizontal_circle(t_offset + hh, n),
+    )
 
 
 def reference_min_sample_distance(a: BoundaryCurve, b: BoundaryCurve) -> float:

@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 
 from etau import barriers as bar
-from etau.errors import DomainError
+from etau.errors import DomainError, UsageError
 from etau.models import AmbientSpace, BoundaryPoint
-from helpers import dense_polyline
+from helpers import dense_polyline, same_bits
+from reference_checks import (
+    reference_containment_sweep,
+    reference_gamma_curves,
+    reference_horizontal_circle,
+    reference_rectangle_boundary,
+    reference_rotated,
+    reference_translated,
+)
 
 SQRT2 = math.sqrt(2.0)
+TWO_PI = 2.0 * math.pi
 
 
 def test_half_angle_identity():
@@ -54,6 +63,121 @@ def test_boundary_curve_arrays_are_stored_read_only():
     with pytest.raises(ValueError):
         c.t_array()[0] = 2.0
     assert c == bar.horizontal_circle(1.0, 360)
+
+
+def test_from_arrays_checks_like_the_constructor():
+    theta = np.array([0.0, 0.01, 0.02, 0.03, 0.1])
+    t = np.zeros(5)
+    # the message names plain floats, not numpy scalars
+    with pytest.raises(DomainError, match=r"contract: 0\.03 to 0\.1$"):
+        bar.BoundaryCurve.from_arrays(theta, t, closed=False)
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        bar.BoundaryCurve.from_arrays([0.0], [0.0], closed=False)
+    for bad in (math.nan, math.inf, -math.inf):
+        for coords in (([0.0, bad], [0.0, 0.0]), ([0.0, 0.01], [bad, 0.0])):
+            with pytest.raises(UsageError, match="boundary point coordinates must be finite"):
+                bar.BoundaryCurve.from_arrays(*coords, closed=False)
+        for point in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(UsageError, match="boundary point coordinates must be finite"):
+                BoundaryPoint(*point)
+    with pytest.raises(UsageError, match="one length"):
+        bar.BoundaryCurve.from_arrays([0.0, 0.01], [0.0], closed=False)
+    with pytest.raises(UsageError, match="one length"):
+        bar.BoundaryCurve.from_arrays(np.zeros((2, 2)), np.zeros((2, 2)), closed=False)
+
+
+def test_from_arrays_copies_and_matches_the_constructor():
+    theta = np.arange(100) * 0.01 - 0.5
+    t = np.sin(theta)
+    c = bar.BoundaryCurve.from_arrays(theta, t, closed=False)
+    theta[:] = 0.0
+    t[:] = 0.0
+    assert c.theta_array()[0] == pytest.approx(TWO_PI - 0.5)
+    assert c.t_array()[0] == math.sin(-0.5)
+    with pytest.raises(ValueError):
+        c.theta_array()[0] = 1.0
+    points = bar.BoundaryCurve(c.samples, closed=False)
+    assert same_bits(points, c)
+    assert points == c and hash(points) == hash(c)
+    assert c != c.translated(1e-12)
+    loop = bar.horizontal_circle(0.0, 360)
+    assert loop != bar.BoundaryCurve.from_arrays(loop.theta_array(), loop.t_array(), closed=False)
+
+
+def test_equal_curves_compare_without_points():
+    a, b = bar.horizontal_circle(1.0, 360), bar.horizontal_circle(1.0, 360)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, bar.horizontal_circle(-0.0, 360), bar.horizontal_circle(0.0, 360)}) == 2
+    assert "samples" not in vars(a) and "samples" not in vars(b)
+
+
+def test_angles_stay_below_two_pi():
+    # a tiny negative angle leaves a remainder that rounds up to 2 pi itself
+    for theta in (-1e-17, -3e-16, -1e-300, -0.0, TWO_PI, -TWO_PI, 2.0 * TWO_PI):
+        p = BoundaryPoint(theta, 0.0)
+        assert p.theta == 0.0 and math.copysign(1.0, p.theta) == 1.0, theta
+        c = bar.BoundaryCurve.from_arrays([theta, 0.01], [0.0, 0.0], closed=False)
+        assert c.theta_array()[0] == 0.0
+    assert BoundaryPoint(-1e-15, 0.0).theta == TWO_PI - 1e-15 < TWO_PI
+    circle = bar.horizontal_circle(0.0, 720)
+    for alpha in (-1e-17, -3e-16, -1e-6, -0.37, -7.0, TWO_PI, TWO_PI + 0.1, 13.0, 2.0 * TWO_PI):
+        rot = circle.rotated(alpha)
+        theta = rot.theta_array()
+        assert ((theta >= 0.0) & (theta < TWO_PI)).all(), alpha
+        assert [p.theta for p in rot.samples] == theta.tolist()
+        assert same_bits(rot, reference_rotated(circle, alpha)), alpha
+    assert circle.rotated(-1e-17).theta_array()[0] == 0.0
+
+
+def test_array_builders_match_point_builders():
+    for n in (360, 361, 720, 1440, 5000):
+        for t in (0.0, -2.5, 7.25, 1e-300):
+            c = bar.horizontal_circle(t, n)
+            assert same_bits(c, reference_horizontal_circle(t, n)), (n, t)
+            for alpha in (0.37, -0.37, 1e-6, -1e-6, TWO_PI + 0.1, -7.0, 13.0):
+                assert same_bits(c.rotated(alpha), reference_rotated(c, alpha)), (n, t, alpha)
+            for dt in (0.5, -1e-9, 3.3):
+                assert same_bits(c.translated(dt), reference_translated(c, dt)), (n, t, dt)
+    for tau in (0.0, 0.2, 0.5, 1.2):
+        amb = AmbientSpace(tau)
+        h = bar.min_rectangle_height(amb) + 0.7
+        for r in (0.1, 0.3, 0.8):
+            # -pi - r puts the right side on theta = 0, r - pi the left one
+            for rotation in (0.0, 1.1, -math.pi - r, r - math.pi, -4.0, 7.0):
+                for offset in (0.0, -3.3):
+                    rect = bar.TallRectangleBoundary(amb, h, r, rotation, offset)
+                    for n in (40, 161):
+                        if 2.0 * r / (n - 1) > bar.ANGULAR_RESOLUTION:
+                            continue
+                        key = (tau, r, rotation, offset, n)
+                        got, want = bar.gamma_curves(rect, n), reference_gamma_curves(rect, n)
+                        assert all(same_bits(a, b) for a, b in zip(got, want)), key
+                        loop = bar.rectangle_boundary(rect, n)
+                        assert same_bits(loop, reference_rectangle_boundary(rect, n)), key
+
+
+def test_containment_sweep_matches_point_loop():
+    verdicts = []
+    for tau in (0.0, 0.3, 0.5):
+        amb = AmbientSpace(tau)
+        t1 = -1.0
+        t2 = t1 + 2.5 * bar.min_rectangle_height(amb)
+        delta = bar.delta_for_slab(amb, t1, t2)
+        for th1 in (1.0, 6.2, 3.0):
+            th2 = th1 + 0.8 * delta
+            rect = bar.place_rectangle(amb, th1, th2, t1, t2)
+            # the window itself, a narrower arc, and lower and upper walls moved in
+            for window in (
+                (th1, th2, t1, t2),
+                (th1 + 0.01, th2, t1, t2),
+                (th1, th2 - 0.01, t1, t2),
+                (th1, th2, t1 + 0.5, t2),
+                (th1, th2, t1, t2 - 0.5),
+            ):
+                got = bar.containment_sweep(rect, *window)
+                assert got == reference_containment_sweep(rect, *window), (tau, th1, window)
+                verdicts.append(got)
+    assert 0.1 < np.mean(verdicts) < 0.9
 
 
 def test_boundary_curve_transforms():

@@ -240,6 +240,30 @@ def test_classify_non_numeric_schema_version(tmp_path, capsys):
     assert err.startswith(f"error: {path}:1: schema version 'x' is not an integer")
 
 
+def test_classify_non_finite_curve_field(tmp_path, capsys):
+    path = tmp_path / "curve.csv"
+    ang = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    for column in (0, 1):
+        for bad in (math.nan, math.inf, -math.inf):
+            comp = [ang.copy(), np.zeros(720)]
+            comp[column][17] = bad
+            _csvio.write_curve_components(path, [(ang, np.full(720, 5.0)), comp])
+            rc, out, err = run(capsys, "classify", "--curve-file", str(path))
+            assert rc == 2
+            assert out == ""
+            assert err == "error: boundary point coordinates must be finite\n"
+
+
+def test_classify_folded_loop(tmp_path, capsys):
+    # three samples on one vertical line: every pair of segments is adjacent
+    path = tmp_path / "curve.csv"
+    _csvio.write_curve_components(path, [([0.5, 0.5, 0.5], [0.0, 1.0, 2.0])])
+    rc, out, err = run(capsys, "classify", "--curve-file", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err == "error: component loop self-intersects\n"
+
+
 def test_non_ascii_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"tau = 0.5\nd = 2.0 # \xc3\xa9\n")

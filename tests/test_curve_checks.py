@@ -109,6 +109,36 @@ def test_is_simple_matches_reference_on_random_walks():
     assert 0.3 < np.mean(verdicts) < 0.7
 
 
+# closed loops of 2 or 3 samples, and an open arc, whose segments turn back
+# onto their neighbours; in the loops every pair of segments is adjacent
+FOLDS = {
+    "vertical-3": ([0.5, 0.5, 0.5], [0.0, 1.0, 2.0], True),
+    "vertical-2": ([0.5, 0.5], [0.0, 1.0], True),
+    "slanted-2": ([0.1, 0.11], [0.2, 0.5], True),
+    "slanted-3": ([0.1, 0.115, 0.105], [0.2, 0.5, 0.3], True),
+    "open-3": ([0.2, 0.21, 0.205], [0.0, 1.0, 0.5], False),
+}
+# the same sample counts with no fold
+UNFOLDED = {
+    "triangle-3": ([0.0, 0.01, 0.005], [0.0, 0.0, 0.01], True),
+    "open-2": ([0.5, 0.5], [0.0, 1.0], False),
+    "straight-3": ([0.5, 0.5, 0.5], [0.0, 1.0, 2.0], False),
+}
+
+
+def test_is_simple_rejects_folds():
+    for name, (theta, t, closed) in {**FOLDS, **UNFOLDED}.items():
+        curve = bar.BoundaryCurve.from_arrays(theta, t, closed)
+        expected = name in UNFOLDED
+        assert bar.is_simple(curve) is expected, name
+        assert reference_is_simple(curve) is expected, name
+        for tol in (0.0, 1e-3, 0.05):
+            assert bar.is_simple(curve, tol) == reference_is_simple(curve, tol), (name, tol)
+        if closed and not expected:
+            with pytest.raises(DomainError, match="self-intersects"):
+                cur.AsymptoticCurve([curve])
+
+
 def test_window_pairs_cover_every_close_pair():
     rng = np.random.default_rng(3)
     a = rng.uniform(0.0, TWO_PI, 300)

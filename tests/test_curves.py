@@ -9,11 +9,16 @@ from etau import catenoid
 from etau import curves as cur
 from etau.errors import DomainError, UsageError
 from etau.models import AmbientSpace, BoundaryPoint
+from helpers import same_bits
 from reference_checks import (
     ReferenceTangency,
+    reference_catenoid_asymptotic_circles,
     reference_classify,
     reference_crossings,
+    reference_graph_curve,
+    reference_parallel_circles,
     reference_profile,
+    reference_rectangle_boundary,
 )
 
 
@@ -272,6 +277,35 @@ def test_invariance_under_rotation_and_translation():
     assert p0.footprint().sum() == pytest.approx(p1.footprint().sum(), abs=1)
 
 
+def test_graph_curve_matches_point_builder():
+    for fn in (math.sin, lambda th: 0.0, lambda th: 2.5 + 0.8 * math.cos(th), abs):
+        for n in (360, 361, 720, 1000):
+            got = cur.graph_curve(fn, n).components[0]
+            assert same_bits(got, reference_graph_curve(fn, n).components[0]), n
+
+
+def test_circles_and_their_verdicts_make_no_points(monkeypatch):
+    made = []
+    check = BoundaryPoint.__post_init__
+
+    def counting(self):
+        made.append(self)
+        check(self)
+
+    monkeypatch.setattr(BoundaryPoint, "__post_init__", counting)
+    amb = AmbientSpace(0.4)
+    pair = cur.AsymptoticCurve(bar.catenoid_asymptotic_circles(amb, 3.0))
+    raised = cur.parallel_circles([0.0, 1.001 * cur.tall_threshold(amb)])
+    assert cur.classify(amb, pair, n=360).verdict is not cur.Verdict.TALL
+    assert cur.classify(amb, raised, n=360).verdict is cur.Verdict.TALL
+    assert made == []
+    circle = raised.components[1]
+    points = circle.samples
+    assert len(made) == 720
+    assert circle.samples is points and len(made) == 720
+    assert [p.t for p in points] == circle.t_array().tolist()
+
+
 def test_radial_projection():
     curve = cur.parallel_circles([-1.0, 1.0], n=512)
     loops = cur.radial_projection(curve, 2.0, 5.0)
@@ -365,33 +399,42 @@ def test_sweep_matches_reference_crossing_loop(case):
 
 
 @functools.lru_cache(maxsize=None)
-def _classifier_cases():
-    # (ambient, curve, grid) for every curve the classifier tests use
+def _classifier_cases(reference: bool = False):
+    # (ambient, curve, grid) for every curve the classifier tests use; with
+    # reference set, the same curves from the per-point builders
+    if reference:
+        parallel_circles, graph_curve = reference_parallel_circles, reference_graph_curve
+        rectangle_boundary = reference_rectangle_boundary
+        catenoid_asymptotic_circles = reference_catenoid_asymptotic_circles
+    else:
+        parallel_circles, graph_curve = cur.parallel_circles, cur.graph_curve
+        rectangle_boundary = bar.rectangle_boundary
+        catenoid_asymptotic_circles = bar.catenoid_asymptotic_circles
     cases = []
     for tau in (0.0, 0.1, 0.5, 1.0):
         amb = AmbientSpace(tau)
         thr = cur.tall_threshold(amb)
         for heights in ([0.0, thr * 1.001], [0.0, thr * 0.999], [0.0, thr * 0.999, thr * 2.0]):
-            cases.append((amb, cur.parallel_circles(heights), 360))
+            cases.append((amb, parallel_circles(heights), 360))
     for fn in (math.sin, lambda th: 0.0, lambda th: 0.5 + 0.3 * math.sin(3.0 * th)):
-        cases.append((AmbientSpace(0.5), cur.graph_curve(fn), 360))
-    cases.append((AmbientSpace(0.0), cur.graph_curve(math.sin), 720))
+        cases.append((AmbientSpace(0.5), graph_curve(fn), 360))
+    cases.append((AmbientSpace(0.0), graph_curve(math.sin), 720))
     for tau in (1.0 / math.sqrt(12.0), 0.3, 0.5, 1.0):
-        cases.append((AmbientSpace(tau), cur.parallel_circles([0.0, 0.05]), 360))
+        cases.append((AmbientSpace(tau), parallel_circles([0.0, 0.05]), 360))
     for tau, top in ((0.5, 5.0), (0.5, 4.0), (0.1, 1.5), (0.3, 0.5), (0.0, 3.0), (0.0, 4.0)):
-        cases.append((AmbientSpace(tau), cur.parallel_circles([0.0, top]), 180))
+        cases.append((AmbientSpace(tau), parallel_circles([0.0, top]), 180))
     amb = AmbientSpace(0.5)
     rect = bar.place_rectangle(amb, 1.0, 1.6, 0.0, 2.0 * math.pi * math.sqrt(2.0))
-    cases.append((amb, cur.AsymptoticCurve([bar.rectangle_boundary(rect, 160)]), 720))
+    cases.append((amb, cur.AsymptoticCurve([rectangle_boundary(rect, 160)]), 720))
     for rotation, offset in ((0.0, 0.0), (2.1, -3.3)):
         moved = bar.TallRectangleBoundary(
             amb, h=6.0, r=0.25, rotation=rotation, vertical_offset=offset
         )
-        curve = cur.AsymptoticCurve([bar.rectangle_boundary(moved, 160)])
+        curve = cur.AsymptoticCurve([rectangle_boundary(moved, 160)])
         cases.append((amb, curve, 720))
-    cases.append((amb, cur.parallel_circles([0.0, 2.0, 100.0]), 90))
-    wavy = cur.graph_curve(lambda th: 2.5 + 0.8 * math.cos(th)).components
-    arc = cur.AsymptoticCurve(list(cur.graph_curve(lambda th: 0.0).components) + list(wavy))
+    cases.append((amb, parallel_circles([0.0, 2.0, 100.0]), 90))
+    wavy = graph_curve(lambda th: 2.5 + 0.8 * math.cos(th)).components
+    arc = cur.AsymptoticCurve(list(graph_curve(lambda th: 0.0).components) + list(wavy))
     cases.append((AmbientSpace(0.1), arc, 720))
     # loops with folds, where the height tends to 0 at the turning angle
     for tau in (0.1, 0.5):
@@ -402,9 +445,22 @@ def _classifier_cases():
         sup = catenoid.asymptotic_height_supremum(amb)
         for frac in (0.1, 0.5, 0.9):
             d = catenoid.neck_parameter_for_height(amb, frac * sup)
-            pair = cur.AsymptoticCurve(bar.catenoid_asymptotic_circles(amb, d))
+            pair = cur.AsymptoticCurve(catenoid_asymptotic_circles(amb, d))
             cases.append((amb, pair, 360))
     return tuple(cases)
+
+
+@pytest.mark.parametrize("case", range(len(_classifier_cases())))
+def test_array_built_curves_classify_like_point_built(case):
+    amb, curve, n = _classifier_cases()[case]
+    _, ref_curve, _ = _classifier_cases(reference=True)[case]
+    assert len(curve.components) == len(ref_curve.components)
+    for got, want in zip(curve.components, ref_curve.components):
+        assert same_bits(got, want)
+    a, b = cur.classify(amb, curve, n=n), cur.classify(amb, ref_curve, n=n)
+    # repr tells -0.0 from 0.0 and matches nan with nan
+    fields = ("verdict", "witness", "footprint_min_height", "global_min_height")
+    assert [repr(getattr(a, f)) for f in fields] == [repr(getattr(b, f)) for f in fields]
 
 
 @pytest.mark.parametrize("case", range(len(_classifier_cases())))
