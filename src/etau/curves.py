@@ -75,13 +75,20 @@ def _closed_arrays(component: BoundaryCurve) -> _Loop:
     # (theta, t, theta.min(), theta.max(), winding) of one loop: unwrapped
     # angles with the closing return to the first sample appended, so segment
     # i joins index i to i+1 throughout; winding is 2 pi times the degree.
+    # Each unwrapped angle is its sample's own angle plus whole turns, read
+    # off the running sum of wrapped steps, so on each turn the unwrapped
+    # angles keep the order of the sample angles.  The running sum alone
+    # drifts by ulps around a loop: it put the vertical closing side of a
+    # rectangle an ulp right of the first sample, which has the same angle,
+    # and so made a hook an ulp wide with height 0.
     theta = component.theta_array()
     t = component.t_array()
-    steps = np.diff(theta)
-    steps = (steps + math.pi) % (2.0 * math.pi) - math.pi
-    closing = (theta[0] - theta[-1] + math.pi) % (2.0 * math.pi) - math.pi
-    unwrapped = np.concatenate(([theta[0]], theta[0] + np.cumsum(np.append(steps, closing))))
-    winding = unwrapped[-1] - unwrapped[0]
+    two_pi = 2.0 * math.pi
+    ends = np.append(theta[1:], theta[0])
+    steps = (ends - theta + math.pi) % two_pi - math.pi
+    turns = np.rint((theta[0] + np.cumsum(steps) - ends) / two_pi)
+    unwrapped = np.concatenate(([theta[0]], ends + two_pi * turns))
+    winding = two_pi * turns[-1]
     return unwrapped, np.append(t, t[0]), unwrapped.min(), unwrapped.max(), winding
 
 

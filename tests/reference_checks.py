@@ -30,7 +30,9 @@ kernels that one ``_kernels.plan`` replaced; a plan must give the same
 areas, flags and gradients bit for bit.  ``reference_minimize`` is
 ``plateau.minimize`` before its stall test: it stops only on the
 gradient norm, the iteration cap or a failed line search, so a solve
-that ``minimize`` ends as ``stalled`` runs on here to one of those.
+that ``minimize`` ends as ``stalled`` runs on here to one of those.  It
+shortens a step that fails the Armijo test by ``reference_backtrack``,
+the safeguarded quadratic step of ``plateau._backtrack``.
 ``reference_topology`` is the ``TriMesh`` edge check with one
 ``np.unique`` per edge kind, which one sort of directed edge codes
 replaced; it must raise the same error or find the same boundary.
@@ -267,9 +269,14 @@ def reference_crossings(curve, p: float, tol: float = 1e-9) -> list[float]:
     out = []
     for comp in curve.components:
         theta, t = comp.theta_array(), comp.t_array()
+        # unwrapped: each sample's angle plus the whole turns of the running
+        # sum of wrapped steps, closed by the first sample's angle
         steps = (np.diff(theta) + math.pi) % (2.0 * math.pi) - math.pi
         closing = (theta[0] - theta[-1] + math.pi) % (2.0 * math.pi) - math.pi
-        theta = np.concatenate(([theta[0]], theta[0] + np.cumsum(np.append(steps, closing))))
+        running = theta[0] + np.cumsum(np.append(steps, closing))
+        raw = np.append(theta[1:], theta[0])
+        turns = np.round((running - raw) / (2.0 * math.pi))
+        theta = np.concatenate(([theta[0]], raw + 2.0 * math.pi * turns))
         t = np.append(t, t[0])
         m = len(theta) - 1
         lo = math.floor((theta.min() - p) / (2.0 * math.pi)) - 1
@@ -522,6 +529,16 @@ class ReferenceSolveReport:
     termination: str
 
 
+def reference_backtrack(step, area, c_area, slope):
+    """The step after an Armijo rejection: the minimizer of the quadratic
+    q(0) = area, q'(0) = -slope, q(step) = c_area, clamped to [0.1, 0.5] of
+    ``step``; half the step when ``c_area`` is not finite."""
+    rise = c_area - area + slope * step
+    if not (math.isfinite(rise) and rise > 0.0):
+        return step * 0.5
+    return min(max(slope * step * step / (2.0 * rise), 0.1 * step), 0.5 * step)
+
+
 def reference_minimize(amb, mesh, config=None, *, vertical=False):
     """Gradient descent with backtracking that stops only on the gradient
     norm, the iteration cap or a failed line search; returns the final
@@ -545,7 +562,7 @@ def reference_minimize(amb, mesh, config=None, *, vertical=False):
             termination = "converged"
             break
         accepted = False
-        for _ in range(plateau._MAX_BACKTRACKS):
+        for trial in range(plateau._MAX_BACKTRACKS):
             cand = v - step * grad
             r2 = cand[free, 0] ** 2 + cand[free, 1] ** 2
             if not (r2 < 1.0 - plateau.DISK_BARRIER).all():
@@ -563,10 +580,11 @@ def reference_minimize(amb, mesh, config=None, *, vertical=False):
                 grad[fixed] = 0.0
                 gnorm = float(np.linalg.norm(grad))
                 history.append(area)
-                step = min(step * 2.0, plateau._INITIAL_STEP * 100.0)
+                if trial == 0:
+                    step = min(step * 2.0, plateau._INITIAL_STEP * 100.0)
                 accepted = True
                 break
-            step *= plateau._LINE_SEARCH_SHRINK
+            step = reference_backtrack(step, area, c_area, gnorm * gnorm)
         if not accepted:
             termination = "line_search_failed"
             break

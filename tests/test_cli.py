@@ -304,6 +304,24 @@ def test_rectangle_placement(tmp_path, capsys):
     assert 0.0 < ts.min() and ts.max() < t2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_classify_rectangle_closing_on_a_vertical_side(tmp_path, capsys):
+    # the rectangle loop across angle 0 closes on its vertical left side; the
+    # pipeline used to print Short with nan heights and exit 0
+    path = tmp_path / "r.csv"
+    argv = ["--tau", "0.3", "--t1", "0", "--t2", "9.42477796076938"]
+    argv += ["--theta1", "6.2", "--theta2", "0.1", "--samples", "400"]
+    rc, out, _ = run(capsys, "rectangle", *argv, "--output", str(path))
+    assert rc == 0
+    h = out.split("h = ")[1].split(",")[0]
+    rc, out, err = run(capsys, "classify", "--tau", "0.3", "--curve-file", str(path))
+    assert (rc, err) == (0, "")
+    assert "verdict = Tall\n" in out
+    fields = dict(line.split(" = ") for line in out.splitlines())
+    for name in ("footprint_min_height", "global_min_height"):
+        assert abs(float(fields[name]) - float(h)) < 1e-9
+
+
 def test_rectangle_requires_both_angles(capsys):
     rc, _, err = run(capsys, "rectangle", "--t1", "0", "--t2", "10", "--theta1", "1.0")
     assert rc == 2

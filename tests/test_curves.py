@@ -133,6 +133,32 @@ def test_line_on_vertical_edge_reads_right_limit():
     assert cur.height_at(curve, right_side) == math.inf
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tau", [0.1, 0.3])
+def test_vertical_closing_edge_across_the_seam(tau):
+    # a rectangle across angle 0 that closes on its vertical left side.  The
+    # running sum of wrapped steps once put that side an ulp right of the
+    # first sample, at the same angle: the closing edge then covered the
+    # sliver cell between the two at one angle, and the sweep divided by zero
+    # (at tau = 0.3 the verdict was Short with nan heights, at tau = 0.1
+    # NonexistenceCondition).  Snapping only the closing end left a hook an
+    # ulp wide, of height 0.
+    amb = AmbientSpace(tau)
+    rect = bar.place_rectangle(amb, 6.2, 0.1, 0.0, 9.42477796076938)
+    loop = bar.rectangle_boundary(rect, 400)
+    theta = loop.theta_array()
+    assert (theta[-199:] == theta[0]).all()
+    curve = cur.AsymptoticCurve([loop])
+    outcome = cur.classify(amb, curve)
+    assert outcome.verdict is cur.Verdict.TALL
+    assert outcome.footprint_min_height == pytest.approx(rect.h, abs=1e-9)
+    assert outcome.global_min_height == pytest.approx(rect.h, abs=1e-9)
+    grid = cur.height_profile(curve, n=720)
+    crossed = grid.crossing_counts > 0
+    assert crossed.any() and np.isfinite(grid.heights[crossed]).all()
+    assert cur.height_at(curve, theta[-1]) == pytest.approx(rect.h, abs=1e-9)
+
+
 def test_line_at_fold_reads_right_limit():
     # ellipse whose rightmost point sits on a profile grid angle
     p_tan = 90 * (2.0 * math.pi / 720)

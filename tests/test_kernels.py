@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import record_plans
-from reference_checks import reference_kernel_evaluate, reference_scatter, reference_vertical_graph
+from reference_checks import (
+    reference_backtrack,
+    reference_kernel_evaluate,
+    reference_scatter,
+    reference_vertical_graph,
+)
 
 from etau import _kernels
 from etau import plateau
@@ -214,7 +219,7 @@ def reference_minimize(amb, mesh, config):
         if gnorm < config.gradient_tol:
             break
         accepted = False
-        for _ in range(plateau._MAX_BACKTRACKS):
+        for trial in range(plateau._MAX_BACKTRACKS):
             cand = v - step * grad
             r2 = cand[~fixed, 0] ** 2 + cand[~fixed, 1] ** 2
             if not (r2 < 1.0 - plateau.DISK_BARRIER).all():
@@ -234,10 +239,11 @@ def reference_minimize(amb, mesh, config):
                 grad[fixed] = 0.0
                 gnorm = float(np.linalg.norm(grad))
                 history.append(area)
-                step = min(step * 2.0, plateau._INITIAL_STEP * 100.0)
+                if trial == 0:
+                    step = min(step * 2.0, plateau._INITIAL_STEP * 100.0)
                 accepted = True
                 break
-            step *= plateau._LINE_SEARCH_SHRINK
+            step = reference_backtrack(step, area, c_area, gnorm * gnorm)
         if not accepted:
             break
     return v, tuple(history), gnorm, calls

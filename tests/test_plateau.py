@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -395,9 +396,227 @@ def test_race_annulus_stalls_near_the_capped_area(tau, h):
     assert ref.termination == "iteration_cap"
     assert ref.area_history[: rep.iterations + 1] == rep.area_history
     assert abs(rep.final_area - ref.final_area) / ref.final_area < 1e-5
+    # the safeguarded quadratic backtracking: 17 and 21 evaluations, where
+    # halving the step on every rejection took 31 and 36
+    assert rep.evaluations <= 24
     assert result.disks_report.termination in ("converged", "stalled")
     for solve in (rep, result.disks_report):
         assert_evaluations_by_cause(solve)
+
+
+EPS = np.finfo(float).eps
+
+
+class Trial(NamedTuple):
+    """One evaluated line-search candidate, as :func:`line_search_replay` sees it.
+
+    ``kind`` is ``"armijo"`` or ``"degenerate"`` (rejected), ``"first"``
+    (accepted on the first trial of its iteration) or ``"accepted"``;
+    ``ratio`` is the step over the step of the candidate before it, exact
+    to a relative ``err``, and ``barrier`` the barrier halvings between them.
+    """
+
+    kind: str
+    step: float
+    ratio: float
+    barrier: int
+    err: float
+
+
+def line_search_replay(monkeypatch, amb, mesh, config=None, *, vertical=False, wrap=None):
+    """Solve while recording every candidate, and replay the step rule on them.
+
+    The step of each evaluated candidate is recovered as ``(v - cand) . g /
+    |g|^2`` from the current iterate ``v`` and its gradient ``g``.  The
+    replay predicts each step from the trials before it: a first trial
+    doubles the step accepted on its first try (up to the 100-fold cap) and
+    carries any other accepted step; an Armijo rejection is followed by the
+    clamped quadratic step and a degenerate one by half the step.  Barrier
+    rejections are not evaluated, so each recovered step must be the
+    prediction times ``0.5**b`` for a whole ``b >= 0``: the halvings by the
+    barrier.  A recovered step is exact to a relative ``err``, from the
+    rounding of ``cand``: about 1e-12 at a step of 1e-4 on a unit disk, but
+    past 1e-6 below steps of 1e-9, so a replayed solve must stop before.
+    Returns the report and one :class:`Trial` per evaluated candidate after
+    the start.
+    """
+    evaluations = []
+
+    def keep(ev, k):
+        ev = ev if wrap is None else wrap(ev, k)
+        evaluations.append(ev)
+        return ev
+
+    plans = record_plans(monkeypatch, keep)
+    _, rep = plateau.minimize(amb, mesh, config, vertical=vertical)
+    monkeypatch.undo()
+    candidates = plans[0]["candidates"]
+    fixed = mesh.boundary_mask
+
+    def gradient(ev):
+        g = ev.gradient()
+        g[fixed] = 0.0
+        return g
+
+    v, g = candidates[0], gradient(evaluations[0])
+    area = float(np.sum(evaluations[0].tri_areas))
+    base_degen = np.count_nonzero(evaluations[0].degenerate)
+    accepted_areas = iter(rep.area_history[1:])
+    next_accepted = next(accepted_areas, None)
+    predicted, rejected = plateau._INITIAL_STEP, False
+    previous = previous_err = math.nan
+    records = []
+    for cand, ev in zip(candidates[1:], evaluations[1:]):
+        g2 = float(np.sum(g * g))
+        step = float(np.sum((v - cand) * g)) / g2
+        err = 1e-12 + 8.0 * EPS * float(np.sum(np.abs(v * g))) / (g2 * step)
+        b = round(math.log2(predicted / step))
+        assert err < 1e-6 and b >= 0 and abs(predicted / 2.0**b / step - 1.0) <= err
+        rejected = rejected or b > 0
+        c_area = float(np.sum(ev.tri_areas))
+        if np.count_nonzero(ev.degenerate) > base_degen:
+            kind = "degenerate"
+            predicted = 0.5 * step
+        elif c_area == next_accepted:
+            # the Armijo test holds, and the area never rises
+            assert c_area <= area - plateau._ARMIJO * step * g2 * (1.0 - 1e-6)
+            kind = "accepted" if rejected else "first"
+            predicted = step if rejected else min(2.0 * step, 100.0 * plateau._INITIAL_STEP)
+            v, g, area = cand, gradient(ev), c_area
+            next_accepted = next(accepted_areas, None)
+        else:
+            kind = "armijo"
+            rise = c_area - area + g2 * step
+            if math.isfinite(rise):
+                predicted = min(max(g2 * step * step / (2.0 * rise), 0.1 * step), 0.5 * step)
+            else:
+                predicted = 0.5 * step
+        records.append(Trial(kind, step, step / previous, b, err + previous_err))
+        previous, previous_err = step, err
+        rejected = kind in ("armijo", "degenerate")
+    assert next_accepted is None
+    assert sum(r.barrier for r in records) <= rep.rejected_barrier
+    return rep, records
+
+
+def replayed_solves(monkeypatch):
+    """Solves whose line searches meet every rule but degeneracy: a free disk
+    near the rim (its degenerate trials come only after 150 steps, at steps
+    below 1e-7), a wobbled disk, and a coarse race annulus and its disks."""
+    amb = AmbientSpace(0.1)
+    analytic = connected_boundary_for_height(amb, 1.2)
+    trunc = TruncatedCatenoid(CatenoidProfile(amb, analytic.d), analytic.R)
+    annulus = plateau.mesh_from_grid(annulus_vertex_grid(trunc, 13, 48))
+    disks = plateau._two_disk_mesh(math.tanh(0.5 * analytic.R), 1.2, 12, 48)
+    cfg = plateau.SolverConfig(max_iterations=60)
+    return [
+        line_search_replay(monkeypatch, AmbientSpace(0.0), rejecting_disk(), cfg),
+        line_search_replay(monkeypatch, AmbientSpace(0.3), wobbled_disk()),
+        line_search_replay(monkeypatch, amb, annulus, cfg),
+        line_search_replay(monkeypatch, amb, disks, cfg, vertical=True),
+    ]
+
+
+def steps_after(records, kinds):
+    """(ratio of the next step to this one, net of barrier halvings, and its
+    error) for each trial of the given kinds that another trial follows."""
+    return [
+        (after.ratio * 2.0**after.barrier, after.err)
+        for trial, after in zip(records, records[1:])
+        if trial.kind in kinds
+    ]
+
+
+def test_armijo_backtracks_shorten_by_the_clamped_quadratic(monkeypatch):
+    factors = []
+    for rep, records in replayed_solves(monkeypatch):
+        assert_evaluations_by_cause(rep)
+        assert all(b <= a for a, b in zip(rep.area_history, rep.area_history[1:]))
+        factors += steps_after(records, ("armijo",))
+    assert len(factors) > 20
+    assert all(0.1 * (1.0 - err) <= f <= 0.5 * (1.0 + err) for f, err in factors)
+    # the model is used inside the clamp, and clamped at both ends
+    assert any(0.11 < f < 0.49 for f, _ in factors)
+    assert any(abs(f - 0.5) <= 0.5 * err for f, err in factors)
+    assert any(abs(f - 0.1) <= 0.1 * err for f, err in factors)
+
+
+def test_barrier_and_degeneracy_rejections_halve(monkeypatch):
+    cfg = plateau.SolverConfig(max_iterations=60)
+    rep, records = line_search_replay(monkeypatch, AmbientSpace(0.0), rejecting_disk(), cfg)
+    # every barrier rejection shows as one halving between evaluated trials
+    assert rep.rejected_barrier > 0
+    assert sum(r.barrier for r in records) == rep.rejected_barrier
+
+    # evaluated trials 1, 2 and 6 report a newly degenerate triangle
+    class Degenerate:
+        def __init__(self, ev):
+            self.tri_areas = ev.tri_areas
+            self.degenerate = np.ones_like(ev.degenerate)
+
+    def wrap(ev, k):
+        return Degenerate(ev) if k in (1, 2, 6) else ev
+
+    rep, records = line_search_replay(monkeypatch, AmbientSpace(0.3), wobbled_disk(), wrap=wrap)
+    assert [r.kind for r in records[:3]] == ["degenerate", "degenerate", "accepted"]
+    assert records[5].kind == "degenerate" and rep.rejected_degenerate == 3
+    halved = steps_after(records, ("degenerate",))
+    assert len(halved) == 3
+    assert all(abs(f - 0.5) <= 0.5 * err for f, err in halved)
+    assert_evaluations_by_cause(rep)
+
+
+def test_step_doubles_only_after_first_try_acceptance(monkeypatch):
+    doubled = carried = 0
+    for _, records in replayed_solves(monkeypatch):
+        for trial, after in zip(records, records[1:]):
+            f = after.ratio * 2.0**after.barrier
+            if trial.kind == "first":
+                want = min(2.0, 100.0 * plateau._INITIAL_STEP / trial.step)
+                doubled += 1
+            elif trial.kind == "accepted":
+                want = 1.0
+                carried += 1
+            else:
+                continue
+            assert abs(f - want) <= want * after.err
+    assert doubled > 10 and carried > 10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_trial_area_halves_the_step(monkeypatch, bad):
+    # the first trial reports a non-finite area: it fails the Armijo test,
+    # and with no quadratic to fit the second trial is half the first
+    class NonFinite:
+        def __init__(self, ev):
+            self.tri_areas = np.full_like(ev.tri_areas, bad)
+            self.degenerate = ev.degenerate
+
+        def gradient(self):
+            raise AssertionError("a rejected trial has no gradient")
+
+    def wrap(ev, k):
+        return NonFinite(ev) if k == 1 else ev
+
+    rep, records = line_search_replay(
+        monkeypatch, AmbientSpace(0.3), wobbled_disk(), wrap=wrap
+    )
+    first, second = records[:2]
+    assert (first.kind, first.barrier, second.barrier) == ("armijo", 0, 0)
+    assert first.step == pytest.approx(plateau._INITIAL_STEP, rel=1e-9)
+    assert second.ratio == pytest.approx(0.5, rel=1e-9)
+    assert rep.rejected_armijo >= 1 and rep.iterations > 0
+    assert_evaluations_by_cause(rep)
+    assert plateau._backtrack(0.2, 1.0, bad, 3.0) == 0.1
+
+
+def test_backtrack_minimizes_the_quadratic_within_the_clamp():
+    # q(s) = 1 - 3 s + 10 s^2 has its minimum at 0.15 and q(0.4) = 1.4
+    assert plateau._backtrack(0.4, 1.0, 1.4, 3.0) == pytest.approx(0.15, rel=1e-12)
+    # a trial barely above the tangent line: the model step is clamped to half
+    assert plateau._backtrack(0.4, 1.0, 1.0 - 1.2 + 1e-9, 3.0) == 0.2
+    # a trial far above it: clamped to a tenth
+    assert plateau._backtrack(0.4, 1.0, 1e6, 3.0) == pytest.approx(0.04, rel=1e-12)
 
 
 def test_minimize_requires_mixed_mask():
