@@ -10,10 +10,10 @@ fix the base parts ``P_ij = λ²⟨e_i^xy, e_j^xy⟩`` and
 edge ``i``, the Gram entries are ``q_ij = P_ij + s_i s_j``.
 
 One :class:`Plan` serves every evaluation of one mesh.  :func:`plan`
-builds it once, with the index that scatters per-triangle gradient terms
-onto the vertices.  A plan has two cases, which share the Gram entries,
-the areas and degeneracy rule, the t column of the gradient and the
-scatter:
+builds it once, with the corner index that gathers each triangle's
+corners and scatters its gradient terms back onto the vertices.  A plan
+has two cases, which share the Gram entries, the areas and degeneracy
+rule, the t column of the gradient and the scatter:
 
 - *free* (the default): every vertex coordinate may move.  Each
   evaluation computes the base parts from the current barycenters, and
@@ -22,7 +22,13 @@ scatter:
   on the barycenter position (one third per vertex, in the two base
   coordinates only since the metric is independent of the fiber
   coordinate): ``∂q_ij = 2λ ∂λ d_ij + r_i s_j + s_i r_j`` with
-  ``d_ij = ⟨e_i^xy, e_j^xy⟩`` and ``r_i = ∂A e_ix + ∂B e_iy``.
+  ``d_ij = ⟨e_i^xy, e_j^xy⟩`` and ``r_i = ∂A e_ix + ∂B e_iy``.  With
+  ``f = 0.5 / sqrt(det)``, ``α = f λ²`` and ``k_ij = α q_ij``, the edge
+  terms are ``E_1 = k22 e_1 − k12 e_2 + (A, B) f u_1`` and
+  ``E_2 = k11 e_2 − k12 e_1 + (A, B) f u_2``, and the position term is
+  ``(f/3)(λ² K (c_x, c_y) + 2τλ (−w_y, w_x))`` with
+  ``K = λ dd + 2τ (c_y w_x − c_x w_y)`` (the derivatives of λ, A and B
+  from :func:`etau.models.fiber_form` written out).
 - *vertical*: the vertices move only in the fiber coordinate (a vertical
   graph ``t = u(x, y)``).  The base parts are computed once, when the plan
   is built; an evaluation reads only the t column, and the gradient's x
@@ -38,7 +44,11 @@ and flags and keeps the arrays the gradient is built from; the
 evaluation's ``gradient()`` finishes the gradient terms and scatters them
 onto the vertices, so a caller that decides from the areas whether it
 needs the gradient (the Plateau line search) evaluates each mesh once.
-:func:`area_and_grad` is a one-shot free plan.
+The gradient sums each triangle's terms per corner first (corner 1 gets
+``E_1`` plus the position term, corner 2 ``E_2`` plus it, corner 0 the
+position term minus ``E_1 + E_2``), so each column is one ``bincount``
+over three entries per triangle.  :func:`area_and_grad` is a one-shot
+free plan.
 """
 
 from __future__ import annotations
@@ -79,12 +89,11 @@ class Evaluation:
 class Plan:
     """The area kernel of one mesh, built once by :func:`plan`."""
 
-    __slots__ = ("_tau", "_n", "_idx", "_corners", "_base")
+    __slots__ = ("_tau", "_n", "_corners", "_base")
 
-    def __init__(self, tau, n, idx, corners, base) -> None:
+    def __init__(self, tau, n, corners, base) -> None:
         self._tau = tau
         self._n = n
-        self._idx = idx
         self._corners = corners
         self._base = base
 
@@ -118,29 +127,35 @@ class Plan:
             factor = np.where(degenerate, 0.0, 0.5 / root)
             u1 = s1 * q22 - s2 * q12
             u2 = s2 * q11 - s1 * q12
+            fu1 = factor * u1
+            fu2 = factor * u2
             grad = np.zeros((self._n, 3))
-            # the fiber column has no position term; leaving out its three
-            # +0.0 terms changes nothing, since a sum that starts from +0.0
-            # is never -0.0
-            grad[:, 2] = self._scatter(factor * u1, factor * u2)
+            # one column's corner 1, 2 and 0 terms at a time
+            w = np.empty((3, len(root)))
+            # the fiber column has no position term
+            w[0], w[1] = fu1, fu2
+            np.negative(np.add(fu1, fu2, out=w[2]), out=w[2])
+            grad[:, 2] = self._scatter(w)
             if xy_terms is not None:
-                for k, terms in enumerate(xy_terms(factor, u1, u2, q11, q12, q22)):
-                    grad[:, k] = self._scatter(*terms)
+                columns = xy_terms(factor, u1, u2, fu1, fu2, q11, q12, q22)
+                for k, (edge1, edge2, pos) in enumerate(columns):
+                    np.add(edge1, pos, out=w[0])
+                    np.add(edge2, pos, out=w[1])
+                    np.subtract(pos, np.add(edge1, edge2, out=w[2]), out=w[2])
+                    grad[:, k] = self._scatter(w)
             return grad
 
         return Evaluation(tri_areas, degenerate.astype(np.uint8), gradient)
 
-    def _scatter(self, w1, w2, pos=None) -> np.ndarray:
-        """Sum one gradient column's per-triangle terms onto the vertices.
+    def _scatter(self, w) -> np.ndarray:
+        """Sum one gradient column's corner terms onto the vertices.
 
-        Corner 1 of each triangle receives ``w1``, corner 2 ``w2`` and
-        corner 0 ``-(w1 + w2)``; then corners 0, 1 and 2 each receive the
-        position term ``pos``, if given.  One ``bincount`` adds the terms in
-        that order, starting from zero, so each vertex sums the same values
-        in the same sequence as successive ``np.add.at`` calls.
+        The rows of ``w`` hold the terms of every triangle's corner 1, 2
+        and 0.  One ``bincount`` adds them in that order, starting from
+        zero, so each vertex sums the same values in the same sequence as
+        three successive ``np.add.at`` calls.
         """
-        w = np.concatenate([w1, w2, -(w1 + w2)] + ([] if pos is None else [pos, pos, pos]))
-        return np.bincount(self._idx[: len(w)], w, self._n)
+        return np.bincount(self._corners.ravel(), w.ravel(), self._n)
 
 
 def plan(
@@ -154,18 +169,14 @@ def plan(
     """
     v = np.asarray(vertices, dtype=np.float64)
     tri = np.asarray(triangles)
-    m = len(tri)
-    # the scatter index: corners 1, 2, 0 for the edge terms, then (free
-    # plans only) corners 0, 1, 2 for the position term; its first three
-    # rows of m are also the corners an evaluation reads
-    edge_corners = [tri[:, 1], tri[:, 2], tri[:, 0]]
-    idx = np.concatenate(edge_corners + ([] if vertical else [tri[:, 0], tri[:, 1], tri[:, 2]]))
-    corners = idx[: 3 * m].reshape(3, m)
+    # corners 1, 2 and 0 of every triangle: the rows an evaluation reads,
+    # and the order in which the scatter adds a column's corner terms
+    corners = np.stack([tri[:, 1], tri[:, 2], tri[:, 0]])
     base = None
     if vertical:
         x, y = np.take(v[:, :2].T, corners, axis=1)
         base = _base_parts(tau, x, y)[:2]
-    return Plan(tau, len(v), idx, corners, base)
+    return Plan(tau, len(v), corners, base)
 
 
 def area_and_grad(
@@ -190,9 +201,10 @@ def _base_parts(tau, x, y):
 
     ``x`` and ``y`` hold corners 1, 2 and 0 of every triangle in their
     rows.  Returns ``(P11, P12, P22)``, ``(c1, c2)`` and ``xy_terms``:
-    ``xy_terms(factor, u1, u2, q11, q12, q22)`` gives the per-triangle
-    terms ``(w1, w2, pos)`` of the gradient's x and y columns, for the
-    scatter.
+    ``xy_terms(factor, u1, u2, fu1, fu2, q11, q12, q22)`` yields the
+    per-triangle edge terms ``E1``, ``E2`` and the position term of the
+    gradient's x column and then of its y column, in work arrays that the
+    y column overwrites.
     """
     (x1, x2, x0), (y1, y2, y0) = x, y
     e1x, e1y = x1 - x0, y1 - y0
@@ -205,30 +217,49 @@ def _base_parts(tau, x, y):
     d12 = e1x * e2x + e1y * e2y
     d22 = e2x * e2x + e2y * e2y
 
-    def xy_terms(factor, u1, u2, q11, q12, q22):
-        edge1x = factor * (lam2 * (q22 * e1x - q12 * e2x) + a * u1)
-        edge1y = factor * (lam2 * (q22 * e1y - q12 * e2y) + b * u1)
-        edge2x = factor * (lam2 * (q11 * e2x - q12 * e1x) + a * u2)
-        edge2y = factor * (lam2 * (q11 * e2y - q12 * e1y) + b * u2)
-
+    def xy_terms(factor, u1, u2, fu1, fu2, q11, q12, q22):
+        # reused work arrays: with a fresh temporary per operation, each
+        # call on the race annulus took about 350 minor page faults
+        tmp, dd, wx, wy, big_k, edge1, edge2, pos = np.empty((8, len(factor)))
+        alpha = factor * lam2
+        k11 = alpha * q11
+        k12 = alpha * q12
+        k22 = np.multiply(alpha, q22, out=alpha)
         # from ∂q_ij = 2λ ∂λ d_ij + r_i s_j + s_i r_j with r_i = ∂A e_ix + ∂B e_iy:
-        # d det / dc = 2 (λ ∂λ dd + r_1 u1 + r_2 u2), and r_1 u1 + r_2 u2 = ∂A wx + ∂B wy
-        dd = q22 * d11 + q11 * d22 - 2.0 * q12 * d12
-        wx = e1x * u1 + e2x * u2
-        wy = e1y * u1 + e2y * u2
-        dlam_dx = lam2 * cx
-        dlam_dy = lam2 * cy
-        da_dx = 2.0 * tau * cy * dlam_dx
-        da_dy = 2.0 * tau * (lam + cy * dlam_dy)
-        db_dx = -2.0 * tau * (lam + cx * dlam_dx)
-        db_dy = -2.0 * tau * cx * dlam_dy
-        pos_x = lam * dlam_dx * dd + da_dx * wx + db_dx * wy
-        pos_y = lam * dlam_dy * dd + da_dy * wx + db_dy * wy
-        return (edge1x, edge2x, factor * pos_x / 3.0), (edge1y, edge2y, factor * pos_y / 3.0)
+        # d det / dc = 2 (λ ∂λ dd + ∂A wx + ∂B wy); with ∂λ = λ² c,
+        # ∂A = 2τ (λ ∂y + cy ∂λ) and ∂B = -2τ (λ ∂x + cx ∂λ) from fiber_form,
+        # that is 2 (λ² K c + 2τλ (-wy, wx)) with K = λ dd + 2τ (cy wx - cx wy)
+        _lin(q22, d11, q11, d22, dd, tmp, plus=True)
+        np.subtract(dd, np.multiply(np.multiply(2.0, q12, out=tmp), d12, out=tmp), out=dd)
+        _lin(e1x, u1, e2x, u2, wx, tmp, plus=True)
+        _lin(e1y, u1, e2y, u2, wy, tmp, plus=True)
+        _lin(cy, wx, cx, wy, big_k, tmp)
+        np.multiply(2.0 * tau, big_k, out=big_k)
+        np.add(np.multiply(lam, dd, out=tmp), big_k, out=big_k)
+        radial = np.multiply(lam2, big_k, out=big_k)
+        third = np.divide(factor, 3.0, out=dd)
+        turn = 2.0 * tau * lam
+        columns = ((e1x, e2x, a, cx, wy, False), (e1y, e2y, b, cy, wx, True))
+        for e1, e2, ab, c, w_other, plus in columns:
+            # E1 = k22 e1 - k12 e2 + (A, B) f u1, E2 = k11 e2 - k12 e1 + (A, B) f u2,
+            # and the position term (f/3)(λ² K c + 2τλ (-wy, wx))
+            _lin(k22, e1, k12, e2, edge1, tmp)
+            np.add(edge1, np.multiply(ab, fu1, out=tmp), out=edge1)
+            _lin(k11, e2, k12, e1, edge2, tmp)
+            np.add(edge2, np.multiply(ab, fu2, out=tmp), out=edge2)
+            np.multiply(third, _lin(radial, c, turn, w_other, pos, tmp, plus=plus), out=pos)
+            yield edge1, edge2, pos
 
     p = (lam2 * d11, lam2 * d12, lam2 * d22)
     c = (a * e1x + b * e1y, a * e2x + b * e2y)
     return p, c, xy_terms
+
+
+def _lin(p, x, q, y, out, tmp, plus=False):
+    """``out = p·x − q·y``, or ``p·x + q·y`` with ``plus``; ``tmp`` is scratch."""
+    np.multiply(p, x, out=out)
+    np.multiply(q, y, out=tmp)
+    return (np.add if plus else np.subtract)(out, tmp, out=out)
 
 
 def _gram_areas(q11, q12, q22):

@@ -96,11 +96,6 @@ class TruncatedCatenoid:
                 f"{self.profile.neck!r}"
             )
 
-    @property
-    def half_height(self) -> float:
-        """Vertical coordinate of the boundary circles above the neck plane."""
-        return profile_height(self.profile, self.R)
-
 
 def _check_neck_parameter(d: float) -> None:
     if not math.isfinite(d) or d <= 0.0:

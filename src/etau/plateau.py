@@ -30,12 +30,15 @@ The mesh constructors build their vertex and triangle arrays as whole
 arrays, with no per-ring or per-triangle Python loop.  A ``TriMesh``
 checks its topology once, with one sort of its directed edges, when it
 is built; a copy and a solve's output share that checked topology and
-check only their vertices, so a race checks each of its two topologies
-once.
+check only their vertices.  The structured builders
+(:func:`mesh_from_grid`, :func:`mesh_disk` and the race's disk pair)
+keep one checked, read-only topology per integer shape, so only the
+first race of a mesh shape checks its two topologies.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -145,7 +148,12 @@ class TriMesh:
 
     The topology is checked once, when the mesh is built; a copy, and a
     solve's output, share the checked triangles and boundary edges and
-    check only their vertices.
+    check only their vertices.  The structured builders
+    (:func:`mesh_from_grid`, :func:`mesh_disk` and the race's disk pair)
+    keep one checked, read-only topology per integer shape: every mesh
+    they build of that shape shares its ``triangles`` (not writeable),
+    checks only its vertices and gets its own writable copy of the
+    boundary mask.
     """
 
     def __init__(
@@ -294,10 +302,8 @@ def discrete_area_report(
     amb: AmbientSpace, mesh: TriMesh
 ) -> tuple[float, np.ndarray, int]:
     """Total area, per-triangle areas, and the count of degenerate triangles."""
-    tri_areas, degen, _ = _kernels.area_and_grad(
-        amb.tau, mesh.vertices, mesh.triangles, False
-    )
-    return float(np.sum(tri_areas)), tri_areas, int(np.sum(degen))
+    ev = _kernels.plan(amb.tau, mesh.vertices, mesh.triangles).evaluate(mesh.vertices)
+    return float(np.sum(ev.tri_areas)), ev.tri_areas, int(np.sum(ev.degenerate))
 
 
 def discrete_area(amb: AmbientSpace, mesh: TriMesh) -> float:
@@ -308,8 +314,8 @@ def discrete_area(amb: AmbientSpace, mesh: TriMesh) -> float:
 
 def area_gradient(amb: AmbientSpace, mesh: TriMesh) -> np.ndarray:
     """Gradient of the discrete area; rows of fixed boundary vertices are zero."""
-    _, _, grad = _kernels.area_and_grad(amb.tau, mesh.vertices, mesh.triangles, True)
-    grad = np.asarray(grad)
+    ev = _kernels.plan(amb.tau, mesh.vertices, mesh.triangles).evaluate(mesh.vertices)
+    grad = ev.gradient()
     grad[mesh.boundary_mask] = 0.0
     return grad
 
@@ -574,16 +580,20 @@ def mesh_disk(boundary, n_r: int, ring_fractions: np.ndarray | None = None) -> T
             raise UsageError("ring_fractions must be strictly increasing with n_r entries")
         if abs(fractions[-1] - 1.0) > 1e-12:
             raise UsageError("the last ring fraction must be 1 (the boundary loop)")
-    return TriMesh(*_disk_arrays(loop, fractions))
+    return _shared_topology(_disk_triangles, len(loop), n_r)._with_vertices(
+        _disk_vertices(loop, fractions)
+    )
 
 
-def _disk_arrays(loop: np.ndarray, fractions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices and triangles of :func:`mesh_disk` for a checked loop and fractions."""
-    n = len(loop)
-    n_r = len(fractions)
+def _disk_vertices(loop: np.ndarray, fractions: np.ndarray) -> np.ndarray:
+    """Vertices of :func:`mesh_disk` for a checked loop and fractions."""
     center = loop.mean(axis=0)
     rings = center + fractions[:, None, None] * (loop - center)
-    vertices = np.concatenate([center[None, :], rings.reshape(-1, 3)])
+    return np.concatenate([center[None, :], rings.reshape(-1, 3)])
+
+
+def _disk_triangles(n: int, n_r: int) -> tuple[int, np.ndarray]:
+    """Vertex count and triangles of :func:`mesh_disk` on ``n`` samples and ``n_r`` rings."""
     i = np.arange(n, dtype=np.int64)
     i2 = (i + 1) % n
     fan = np.column_stack([np.zeros_like(i), 1 + i, 1 + i2])
@@ -597,7 +607,46 @@ def _disk_arrays(loop: np.ndarray, fractions: np.ndarray) -> tuple[np.ndarray, n
         ],
         axis=2,
     )
-    return vertices, np.vstack([fan, bands.reshape(-1, 3)])
+    return 1 + n * n_r, np.vstack([fan, bands.reshape(-1, 3)])
+
+
+def _disk_pair_triangles(n: int, n_r: int) -> tuple[int, np.ndarray]:
+    """Vertex count and triangles of :func:`_two_disk_mesh`: two disks, top first."""
+    n_disk, tris = _disk_triangles(n, n_r)
+    return 2 * n_disk, np.concatenate([tris, tris + n_disk])
+
+
+def _grid_triangles(n_rows: int, n_cols: int) -> tuple[int, np.ndarray]:
+    """Vertex count and triangles of :func:`mesh_from_grid` on an (n_rows, n_cols) grid."""
+    row = n_cols * np.arange(n_rows - 1, dtype=np.int64)[:, None]
+    col = np.arange(n_cols, dtype=np.int64)
+    a = row + col
+    b = row + (col + 1) % n_cols
+    d = a + n_cols
+    e = b + n_cols
+    tris = np.stack([np.stack([a, e, b], axis=-1), np.stack([a, d, e], axis=-1)], axis=2)
+    return n_rows * n_cols, tris.reshape(-1, 3)
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_topology(triangles_of: Callable, *shape: int) -> TriMesh:
+    """The checked topology of a structured builder's mesh of one shape.
+
+    ``triangles_of(*shape)`` gives the vertex count and the triangles.  The
+    ``TriMesh`` check runs here, once per shape, on placeholder vertices at
+    the origin.  The returned mesh's arrays are read-only, and a builder
+    puts its own vertices on it with ``_with_vertices``, which checks them
+    and copies the mask.  The default race's two shapes keep about 1.1 MB
+    of triangles; eight entries leave room for a few other shapes.
+    """
+    n, triangles = triangles_of(*shape)
+    mesh = TriMesh(np.zeros((n, 3)), triangles)
+    # a read-only view of one zero stands in for the placeholders, so the
+    # cache holds no vertex memory
+    mesh.vertices = np.broadcast_to(0.0, (n, 3))
+    mesh.triangles.flags.writeable = False
+    mesh.boundary_mask.flags.writeable = False
+    return mesh
 
 
 def mesh_from_grid(grid: np.ndarray) -> TriMesh:
@@ -610,15 +659,7 @@ def mesh_from_grid(grid: np.ndarray) -> TriMesh:
     if g.ndim != 3 or g.shape[2] != 3 or g.shape[0] < 2 or g.shape[1] < 3:
         raise DomainError("grid must have shape (n_rows >= 2, n_cols >= 3, 3)")
     n_rows, n_cols, _ = g.shape
-    vertices = g.reshape(-1, 3)
-    row = n_cols * np.arange(n_rows - 1, dtype=np.int64)[:, None]
-    col = np.arange(n_cols, dtype=np.int64)
-    a = row + col
-    b = row + (col + 1) % n_cols
-    d = a + n_cols
-    e = b + n_cols
-    tris = np.stack([np.stack([a, e, b], axis=-1), np.stack([a, d, e], axis=-1)], axis=2)
-    return TriMesh(vertices, tris.reshape(-1, 3))
+    return _shared_topology(_grid_triangles, n_rows, n_cols)._with_vertices(g.reshape(-1, 3))
 
 
 def mesh_annulus(c1, c2, n_v: int) -> TriMesh:
@@ -660,10 +701,11 @@ class PlateauComparison:
 def _two_disk_mesh(radius: float, h: float, n_r: int, n_theta: int) -> TriMesh:
     R = 2.0 * math.atanh(radius)
     fractions = hyperbolic_ring_fractions(R, n_r)
-    top, tris = _disk_arrays(circle_loop(radius, h, n_theta), fractions)
-    bot, _ = _disk_arrays(circle_loop(radius, -h, n_theta), fractions)
-    vertices = np.concatenate([top, bot])
-    return TriMesh(vertices, np.concatenate([tris, tris + len(top)]))
+    top = _disk_vertices(circle_loop(radius, h, n_theta), fractions)
+    bot = _disk_vertices(circle_loop(radius, -h, n_theta), fractions)
+    return _shared_topology(_disk_pair_triangles, n_theta, n_r)._with_vertices(
+        np.concatenate([top, bot])
+    )
 
 
 def compare_connected_vs_disks(

@@ -27,7 +27,13 @@ replaced: it reads the verdict off that profile, with an
 ``reference_kernel_evaluate`` (with its ``reference_scatter``) and
 ``reference_vertical_graph`` are the free-vertex and vertical-graph mesh
 kernels that one ``_kernels.plan`` replaced; a plan must give the same
-areas, flags and gradients bit for bit.  ``reference_minimize`` is
+areas, flags and gradients bit for bit.  The free kernel's gradient is
+written in the plan's per-corner form: each triangle's edge and position
+terms are summed per corner (corner 1 gets the first edge term plus the
+position term, corner 2 the second plus it, corner 0 the position term
+minus both), and each column is scattered from three terms per triangle.
+Its areas, flags and t column are those of the kernel before that form,
+whose arithmetic it did not change, and of ``reference_vertical_graph``.  ``reference_minimize`` is
 ``plateau.minimize`` before its stall test: it stops only on the
 gradient norm, the iteration cap or a failed line search, so a solve
 that ``minimize`` ends as ``stalled`` runs on here to one of those.  It
@@ -39,7 +45,10 @@ replaced; it must raise the same error or find the same boundary.
 ``reference_mesh_disk`` builds its rings one at a time and
 ``reference_two_disk_mesh`` joins two checked disk meshes into a third;
 the array-built ``plateau.mesh_disk`` and ``plateau._two_disk_mesh`` must
-give the same meshes bit for bit.  ``reference_asymptotic_height`` is the
+give the same meshes bit for bit.  Both references check every mesh
+through ``TriMesh`` itself, so they are also the per-mesh check that the
+builders' one shared topology per shape replaced, and must raise the
+same vertex errors.  ``reference_asymptotic_height`` is the
 catenoid asymptotic height as an improper integral in the regular
 variable ``t``, cut off by ``integrate_to_infinity`` where a tail bound
 falls below half the absolute tolerance; ``catenoid.asymptotic_height``
@@ -390,9 +399,10 @@ class ReferenceEvaluation:
 
 def reference_kernel_evaluate(tau: float, vertices: np.ndarray, triangles: np.ndarray):
     """Per-triangle areas and flags of the free-vertex kernel, keeping its
-    gradient terms ``(edge1, edge2, pos_x, pos_y)``: the derivative of each
-    triangle's area along its two edge vectors, and a third of its
-    derivative along the barycenter's base coordinates."""
+    per-corner gradient terms ``(corner1, corner2, corner0)``, each ``(m, 3)``:
+    corners 1 and 2 receive the derivative of the triangle's area along
+    their edge vector plus a third of its derivative along the barycenter's
+    base coordinates, and corner 0 that third minus both edge terms."""
     v = np.asarray(vertices, dtype=np.float64)
     tri = np.asarray(triangles)
     # x[k], y[k], t[k]: the coordinates of every triangle's corner k
@@ -418,24 +428,26 @@ def reference_kernel_evaluate(tau: float, vertices: np.ndarray, triangles: np.nd
         factor = np.where(degenerate, 0.0, 0.5 / root)
         u1 = s1 * q22 - s2 * q12
         u2 = s2 * q11 - s1 * q12
-        edge1 = np.array(
-            [lam2 * (q22 * e1x - q12 * e2x) + a * u1, lam2 * (q22 * e1y - q12 * e2y) + b * u1, u1]
-        )
-        edge2 = np.array(
-            [lam2 * (q11 * e2x - q12 * e1x) + a * u2, lam2 * (q11 * e2y - q12 * e1y) + b * u2, u2]
-        )
+        fu1 = factor * u1
+        fu2 = factor * u2
+        # the edge terms: f·G e_i, with G e_i = (λ² e_i^xy + (A, B) s_i, s_i)
+        alpha = factor * lam2
+        k11, k12, k22 = alpha * q11, alpha * q12, alpha * q22
+        edge1 = [k22 * e1x - k12 * e2x + a * fu1, k22 * e1y - k12 * e2y + b * fu1]
+        edge2 = [k11 * e2x - k12 * e1x + a * fu2, k11 * e2y - k12 * e1y + b * fu2]
+        # the position term: (f/3)(λ² K (cx, cy) + 2τλ (-wy, wx))
         dd = q22 * d11 + q11 * d22 - 2.0 * q12 * d12
         wx = e1x * u1 + e2x * u2
         wy = e1y * u1 + e2y * u2
-        dlam_dx = lam2 * cx
-        dlam_dy = lam2 * cy
-        da_dx = 2.0 * tau * cy * dlam_dx
-        da_dy = 2.0 * tau * (lam + cy * dlam_dy)
-        db_dx = -2.0 * tau * (lam + cx * dlam_dx)
-        db_dy = -2.0 * tau * cx * dlam_dy
-        pos_x = lam * dlam_dx * dd + da_dx * wx + db_dx * wy
-        pos_y = lam * dlam_dy * dd + da_dy * wx + db_dy * wy
-        return (factor * edge1).T, (factor * edge2).T, factor * pos_x / 3.0, factor * pos_y / 3.0
+        big_k = lam * dd + 2.0 * tau * (cy * wx - cx * wy)
+        pos = [
+            factor / 3.0 * (lam2 * big_k * cx - 2.0 * tau * lam * wy),
+            factor / 3.0 * (lam2 * big_k * cy + 2.0 * tau * lam * wx),
+        ]
+        corner1 = np.array([edge1[k] + pos[k] for k in range(2)] + [fu1])
+        corner2 = np.array([edge2[k] + pos[k] for k in range(2)] + [fu2])
+        corner0 = np.array([pos[k] - (edge1[k] + edge2[k]) for k in range(2)] + [-(fu1 + fu2)])
+        return corner1.T, corner2.T, corner0.T
 
     return ReferenceEvaluation(
         tri_areas,
@@ -445,19 +457,15 @@ def reference_kernel_evaluate(tau: float, vertices: np.ndarray, triangles: np.nd
     )
 
 
-def reference_scatter(n, tri, edge1, edge2, pos_x, pos_y) -> np.ndarray:
-    """Vertex ``tri[:, 1]`` receives ``edge1``, ``tri[:, 2]`` ``edge2``,
-    ``tri[:, 0]`` ``-(edge1 + edge2)``, and all three the position term,
-    by one ``bincount`` per column over a freshly built index."""
-    m = len(tri)
-    idx = np.concatenate([tri[:, 1], tri[:, 2], tri[:, 0], tri[:, 0], tri[:, 1], tri[:, 2]])
-    edge0 = -(edge1 + edge2)
+def reference_scatter(n, tri, corner1, corner2, corner0) -> np.ndarray:
+    """Vertex ``tri[:, 1]`` receives ``corner1``, ``tri[:, 2]`` ``corner2``
+    and ``tri[:, 0]`` ``corner0``, by one ``bincount`` per column over a
+    freshly built index."""
+    idx = np.concatenate([tri[:, 1], tri[:, 2], tri[:, 0]])
     grad = np.empty((n, 3))
-    for k, pos in ((0, pos_x), (1, pos_y)):
-        w = np.concatenate([edge1[:, k], edge2[:, k], edge0[:, k], pos, pos, pos])
+    for k in range(3):
+        w = np.concatenate([corner1[:, k], corner2[:, k], corner0[:, k]])
         grad[:, k] = np.bincount(idx, w, n)
-    w = np.concatenate([edge1[:, 2], edge2[:, 2], edge0[:, 2]])
-    grad[:, 2] = np.bincount(idx[: 3 * m], w, n)
     return grad
 
 

@@ -64,17 +64,12 @@ def test_kernel_area_uses_the_model_metric():
 
 
 def add_at_gradient(tau, vertices, triangles):
-    """The reference kernel's gradient, scattered by six successive np.add.at calls."""
-    edge1, edge2, pos_x, pos_y = reference_kernel_evaluate(tau, vertices, triangles)._terms()
+    """The reference kernel's gradient, scattered by three successive np.add.at calls."""
+    corner1, corner2, corner0 = reference_kernel_evaluate(tau, vertices, triangles)._terms()
     grad = np.zeros_like(vertices)
-    np.add.at(grad, triangles[:, 1], edge1)
-    np.add.at(grad, triangles[:, 2], edge2)
-    np.add.at(grad, triangles[:, 0], -(edge1 + edge2))
-    pos = np.zeros((len(triangles), 3))
-    pos[:, 0] = pos_x
-    pos[:, 1] = pos_y
-    for k in range(3):
-        np.add.at(grad, triangles[:, k], pos)
+    np.add.at(grad, triangles[:, 1], corner1)
+    np.add.at(grad, triangles[:, 2], corner2)
+    np.add.at(grad, triangles[:, 0], corner0)
     return grad
 
 
@@ -163,14 +158,10 @@ def reference_evaluate(tau, vertices, triangles):
 
     dd_x = position_term(dlam_dx, da_dx, db_dx)
     dd_y = position_term(dlam_dy, da_dy, db_dy)
-    grad = reference_scatter(
-        len(v),
-        tri,
-        factor[:, None] * dd_e1,
-        factor[:, None] * dd_e2,
-        factor * dd_x / 3.0,
-        factor * dd_y / 3.0,
-    )
+    edge1 = factor[:, None] * dd_e1
+    edge2 = factor[:, None] * dd_e2
+    pos = np.column_stack([factor * dd_x / 3.0, factor * dd_y / 3.0, np.zeros(len(tri))])
+    grad = reference_scatter(len(v), tri, edge1 + pos, edge2 + pos, pos - (edge1 + edge2))
     return tri_areas, degenerate.astype(np.uint8), grad
 
 
@@ -352,6 +343,29 @@ def test_plan_matches_reference_kernels_exactly():
                 _kernels.plan(tau, v, tri, vertical=True).evaluate(moved),
                 reference_vertical_graph(tau, v, tri).evaluate(moved),
             )
+
+
+def test_free_gradient_keeps_areas_flags_and_t_column():
+    # the per-corner x and y columns changed nothing else: the free plan's
+    # areas, flags and t column equal, bit for bit, the kernel's before it
+    # (the oracle keeps that arithmetic), the vertical-graph reference and
+    # a vertical plan
+    meshes = sample_meshes()
+    meshes += [t_jittered(mesh, k) for k, mesh in enumerate(meshes)]
+    meshes += list(race_meshes())
+    for mesh in meshes:
+        v, tri = mesh.vertices, mesh.triangles
+        for tau in (0.0, 0.3, 1.0):
+            ev = _kernels.plan(tau, v, tri).evaluate(v)
+            t_column = ev.gradient()[:, 2]
+            for other in (
+                reference_kernel_evaluate(tau, v, tri),
+                reference_vertical_graph(tau, v, tri).evaluate(v),
+                _kernels.plan(tau, v, tri, vertical=True).evaluate(v),
+            ):
+                np.testing.assert_array_equal(ev.tri_areas, other.tri_areas)
+                np.testing.assert_array_equal(ev.degenerate, other.degenerate)
+                np.testing.assert_array_equal(t_column, other.gradient()[:, 2])
 
 
 def test_vertical_minimize_builds_one_vertical_plan(monkeypatch):

@@ -244,18 +244,98 @@ def test_race_checks_each_topology_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(plateau.TriMesh, "__init__", counting_init)
+    plateau._shared_topology.cache_clear()
     amb = AmbientSpace(0.05)
     cfg = plateau.SolverConfig(max_iterations=20)
-    result = plateau.compare_connected_vs_disks(amb, 1.1, cfg, n_theta=48, n_rows=13, n_r=12)
-    # the annulus grid and the disk pair, nothing else
-    assert [len(args[1]) for args in calls] == [
-        len(result.annulus_mesh.triangles),
-        len(result.disks_mesh.triangles),
-    ]
+
+    def race(n_theta, n_rows, n_r):
+        calls.clear()
+        return plateau.compare_connected_vs_disks(
+            amb, 1.1, cfg, n_theta=n_theta, n_rows=n_rows, n_r=n_r
+        )
+
+    def checked(result):
+        # the annulus grid and the disk pair, in that order
+        return [len(args[1]) for args in calls] == [
+            len(result.annulus_mesh.triangles),
+            len(result.disks_mesh.triangles),
+        ]
+
+    first = race(48, 13, 12)
+    assert checked(first)
+    again = race(48, 13, 12)
+    assert calls == []
+    assert again.optimized_annulus_area == first.optimized_annulus_area
+    assert again.optimized_disks_area == first.optimized_disks_area
+    assert checked(race(40, 9, 8))
     calls.clear()
-    out, _ = plateau.minimize(amb, result.disks_mesh, cfg, vertical=True)
+    out, _ = plateau.minimize(amb, first.disks_mesh, cfg, vertical=True)
     out.copy()
     assert calls == []
+
+
+def test_structured_builders_share_one_checked_topology():
+    plateau._shared_topology.cache_clear()
+    loop = plateau.circle_loop(0.6, 0.2, 12)
+    grid = np.stack([plateau.circle_loop(0.5, t, 12) for t in (-1.0, 0.0, 1.0)])
+    builders = [
+        (lambda: plateau.mesh_from_grid(grid), (plateau._grid_triangles, 3, 12)),
+        (lambda: plateau.mesh_disk(loop, 3), (plateau._disk_triangles, 12, 3)),
+        (lambda: plateau._two_disk_mesh(0.6, 1.1, 3, 12), (plateau._disk_pair_triangles, 12, 3)),
+    ]
+    for build, key in builders:
+        first, second = build(), build()
+        shared = plateau._shared_topology(*key)
+        assert first.triangles is second.triangles is shared.triangles
+        assert not shared.triangles.flags.writeable
+        assert not shared.boundary_mask.flags.writeable
+        with pytest.raises(ValueError):
+            first.triangles[0, 0] = 1
+        # each mesh owns a writable copy of the mask
+        for mesh in (first, second):
+            assert mesh.boundary_mask.flags.writeable
+            assert not np.shares_memory(mesh.boundary_mask, shared.boundary_mask)
+        first.boundary_mask[:] = False
+        np.testing.assert_array_equal(second.boundary_mask, shared.boundary_mask)
+        assert second.boundary_mask.any()
+
+
+def test_structured_builders_keep_the_vertex_errors():
+    # on a cache miss and on a hit, each builder raises the DomainError that
+    # TriMesh raises on the same vertices
+    loop = plateau.circle_loop(0.6, 0.2, 12)
+    grid = np.stack([plateau.circle_loop(0.5, t, 12) for t in (-1.0, 0.0, 1.0)])
+    nonfinite_grid, outside_grid = grid.copy(), grid.copy()
+    nonfinite_grid[1, 4, 2] = math.nan
+    outside_grid[1, 4, 0] = 1.0
+    nonfinite_loop, outside_loop = loop.copy(), loop.copy()
+    nonfinite_loop[4, 2] = math.nan
+    outside_loop[4, 0] = 1.0
+    cases = [
+        (
+            plateau.mesh_from_grid,
+            lambda g: plateau.TriMesh(g.reshape(-1, 3), grid_triangles_by_loop(3, 12)),
+            [nonfinite_grid, outside_grid],
+        ),
+        (
+            lambda lp: plateau.mesh_disk(lp, 3),
+            lambda lp: reference_mesh_disk(lp, 3),
+            [nonfinite_loop, outside_loop],
+        ),
+        (
+            lambda rh: plateau._two_disk_mesh(*rh, 3, 12),
+            lambda rh: reference_two_disk_mesh(*rh, 3, 12),
+            [(0.6, math.nan), (1.0 - 1e-10, 1.1)],
+        ),
+    ]
+    for build, reference, (nonfinite, outside) in cases:
+        plateau._shared_topology.cache_clear()
+        for bad, message in [(nonfinite, "is not finite"), (outside, "model boundary barrier")] * 2:
+            with pytest.raises(DomainError, match=message) as want:
+                reference(bad)
+            with pytest.raises(DomainError) as got:
+                build(bad)
+            assert str(got.value) == str(want.value)
 
 
 def test_gradient_matches_finite_differences():
