@@ -404,6 +404,14 @@ def _slab_placement(amb: AmbientSpace, t1: float, t2: float) -> tuple[float, flo
     return h, eps, delta
 
 
+def _shorter_arc(theta1: float, theta2: float) -> tuple[float, float]:
+    """Start and width of the shorter arc between ``theta1`` and ``theta2``."""
+    raw = (theta2 - theta1) % (2.0 * math.pi)
+    if raw > math.pi:
+        return theta2, 2.0 * math.pi - raw
+    return theta1, raw
+
+
 def place_rectangle(
     amb: AmbientSpace, theta1: float, theta2: float, t1: float, t2: float
 ) -> TallRectangleBoundary:
@@ -414,13 +422,7 @@ def place_rectangle(
     and strictly between ``t1`` and ``t2``.
     """
     h, eps, delta = _slab_placement(amb, t1, t2)
-    raw = (theta2 - theta1) % (2.0 * math.pi)
-    if raw > math.pi:
-        gap = 2.0 * math.pi - raw
-        mid = theta2 + 0.5 * gap
-    else:
-        gap = raw
-        mid = theta1 + 0.5 * gap
+    start, gap = _shorter_arc(theta1, theta2)
     if gap == 0.0:
         raise DomainError("angular gap between the arc endpoints must be positive")
     if not (gap < delta):
@@ -431,7 +433,7 @@ def place_rectangle(
         amb=amb,
         h=h,
         r=0.5 * gap,
-        rotation=mid - math.pi,
+        rotation=start + 0.5 * gap - math.pi,
         vertical_offset=t1 + eps,
     )
 
@@ -450,11 +452,7 @@ def containment_sweep(
     (shorter way around), heights strictly inside ``(t1, t2)``.
     """
     loop = rectangle_boundary(rect, max(2, n // 3))
-    raw = (theta2 - theta1) % (2.0 * math.pi)
-    if raw > math.pi:
-        start, width = theta2, 2.0 * math.pi - raw
-    else:
-        start, width = theta1, raw
+    start, width = _shorter_arc(theta1, theta2)
     off = (loop.theta_array() - start) % (2.0 * math.pi)
     outside = (off > width + 1e-9) & (off < 2.0 * math.pi - 1e-9)
     t = loop.t_array()

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .models import AmbientSpace
-from .numerics import QuadratureResult, ToleranceConfig, bisect_monotone, integrate
+from .numerics import QuadratureResult, bisect_monotone, integrate
 
 __all__ = [
     "CatenoidProfile",
@@ -64,6 +64,12 @@ __all__ = [
     "default_crossover_grid",
     "annulus_vertex_grid",
 ]
+
+# Stopping tolerances of the ITP solves: the neck inversion in
+# neck_parameter_for_height, and the solves for d and R in
+# connected_boundary_for_height.  Every quadrature reads ``amb.tol``.
+_NECK_TOL = 1e-10
+_BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -151,9 +157,7 @@ def _height_upper_limit(d: float, s: float) -> float:
     return math.acosh(ratio)
 
 
-def profile_height(
-    profile: CatenoidProfile, s: float, tol: ToleranceConfig | None = None
-) -> float:
+def profile_height(profile: CatenoidProfile, s: float) -> float:
     """Height of the upper catenoid half at hyperbolic radius ``s``.
 
     ``s`` must be at least the neck radius ``arcsinh(d)``; at the neck the
@@ -170,15 +174,11 @@ def profile_height(
     if T == 0.0:
         return 0.0
     f = _height_integrand(profile.ambient.tau, d)
-    res = integrate(
-        f, 0.0, math.atan(math.sinh(T)), tol if tol is not None else profile.ambient.tol
-    )
+    res = integrate(f, 0.0, math.atan(math.sinh(T)), profile.ambient.tol)
     return _converged_value(res, "profile height")
 
 
-def product_profile_height(
-    d: float, s: float, tol: ToleranceConfig | None = None
-) -> float:
+def product_profile_height(d: float, s: float) -> float:
     """Height of the tau = 0 catenoid profile, used for comparison bounds.
 
     Satisfies the sandwich
@@ -187,18 +187,16 @@ def product_profile_height(
     ``s = rho(t)``-type radii.
     """
     flat = CatenoidProfile(AmbientSpace(0.0), d)
-    return profile_height(flat, s, tol)
+    return profile_height(flat, s)
 
 
-def asymptotic_height(
-    profile: CatenoidProfile, tol: ToleranceConfig | None = None
-) -> float:
+def asymptotic_height(profile: CatenoidProfile) -> float:
     """Limit of :func:`profile_height` as the radius goes to infinity.
 
     The height integrand in the Gudermannian variable over ``[0, pi / 2]``.
     """
     f = _height_integrand(profile.ambient.tau, profile.d)
-    res = integrate(f, 0.0, 0.5 * math.pi, tol if tol is not None else profile.ambient.tol)
+    res = integrate(f, 0.0, 0.5 * math.pi, profile.ambient.tol)
     return _converged_value(res, "asymptotic height")
 
 
@@ -207,16 +205,14 @@ def asymptotic_height_supremum(amb: AmbientSpace) -> float:
     return 0.5 * math.pi * math.sqrt(1.0 + 4.0 * amb.tau * amb.tau)
 
 
-def neck_parameter_for_height(
-    amb: AmbientSpace, target: float, tol: float = 1e-10
-) -> float:
+def neck_parameter_for_height(amb: AmbientSpace, target: float) -> float:
     """Neck parameter whose asymptotic height equals ``target``.
 
     The asymptotic height increases strictly from 0 to the supremum
     ``(pi / 2) sqrt(1 + 4 tau^2)``, so any value strictly in between is
     attained exactly once.  A bracket is grown by halving or doubling from
     ``d = 1`` and the ITP solver :func:`bisect_monotone` finishes the
-    inversion to ``|h(d) - target| <= tol``.  Each height costs a full
+    inversion to ``|h(d) - target| <= 1e-10``.  Each height costs a full
     quadrature, so heights are memoized for the call and no ``d`` is
     evaluated twice, bracket ends included.
     """
@@ -242,7 +238,7 @@ def neck_parameter_for_height(
             raise DomainError(
                 f"target {target!r} is too close to the supremum {sup!r}"
             )
-    return bisect_monotone(g, lo, hi, target=target, tol=tol)
+    return bisect_monotone(g, lo, hi, target=target, tol=_NECK_TOL)
 
 
 def truncation_radius(d: float) -> float:
@@ -273,7 +269,7 @@ def regularized_truncation(d: float) -> float:
     return math.acosh(arg)
 
 
-def annulus_area(trunc: TruncatedCatenoid, tol: ToleranceConfig | None = None) -> float:
+def annulus_area(trunc: TruncatedCatenoid) -> float:
     """Area of the truncated catenoid (both halves) at radius ``R``."""
     d = trunc.profile.d
     tau = trunc.profile.ambient.tau
@@ -288,11 +284,11 @@ def annulus_area(trunc: TruncatedCatenoid, tol: ToleranceConfig | None = None) -
         k = r * math.cosh(t)
         return math.sqrt((k * k - 1.0) * (1.0 + t2 * (k - 1.0) / (k + 1.0)))
 
-    res = integrate(f, 0.0, T, tol if tol is not None else trunc.profile.ambient.tol)
+    res = integrate(f, 0.0, T, trunc.profile.ambient.tol)
     return 4.0 * math.pi * _converged_value(res, "annulus area")
 
 
-def disk_area(amb: AmbientSpace, R: float, tol: ToleranceConfig | None = None) -> float:
+def disk_area(amb: AmbientSpace, R: float) -> float:
     """Area of a totally geodesic disk of hyperbolic radius ``R``, by quadrature."""
     if not math.isfinite(R) or R < 0.0:
         raise DomainError(f"radius must be nonnegative, got {R!r}")
@@ -305,7 +301,7 @@ def disk_area(amb: AmbientSpace, R: float, tol: ToleranceConfig | None = None) -
         c = math.cosh(s)
         return math.sinh(s) * math.sqrt((c + a) / (c + 1.0))
 
-    res = integrate(f, 0.0, R, tol if tol is not None else amb.tol)
+    res = integrate(f, 0.0, R, amb.tol)
     return 2.0 * math.pi * math.sqrt(1.0 + t2) * _converged_value(res, "disk area")
 
 
@@ -369,15 +365,13 @@ class BoundCheck:
     holds: bool
 
 
-def check_area_upper_bound(
-    amb: AmbientSpace, d: float, R: float, tol: ToleranceConfig | None = None
-) -> BoundCheck:
+def check_area_upper_bound(amb: AmbientSpace, d: float, R: float) -> BoundCheck:
     """Catenoid area against ``2 pi sqrt(1+4 tau^2) (sqrt(e^{2R} - 2 - 4d^2) + 1)``.
 
     Requires ``R > arcsinh(d + 1)``, which also keeps the radicand positive.
     """
     bound = _upper_bound(amb, d, R)
-    area = annulus_area(TruncatedCatenoid(CatenoidProfile(amb, d), R), tol)
+    area = annulus_area(TruncatedCatenoid(CatenoidProfile(amb, d), R))
     return BoundCheck(d=d, R=R, area=area, bound=bound, holds=area < bound)
 
 
@@ -444,9 +438,7 @@ class AreaComparison:
         return self.feasible and not self.disks_win
 
 
-def compare_areas(
-    amb: AmbientSpace, d: float, R: float, tol: ToleranceConfig | None = None
-) -> AreaComparison:
+def compare_areas(amb: AmbientSpace, d: float, R: float) -> AreaComparison:
     """Compare the truncated catenoid at ``(d, R)`` with the matching disk pair.
 
     Bound columns are NaN when the corresponding precondition fails.
@@ -463,7 +455,7 @@ def compare_areas(
             feasible=False,
             disks_win=False,
         )
-    cat = annulus_area(TruncatedCatenoid(profile, R), tol)
+    cat = annulus_area(TruncatedCatenoid(profile, R))
     disks = 2.0 * disk_area_closed_form(amb, R)
     try:
         upper = _upper_bound(amb, d, R)
@@ -500,11 +492,7 @@ def default_crossover_grid(n: int = 25) -> np.ndarray:
     return np.geomspace(8.0, 1e5, n)
 
 
-def find_crossover(
-    amb: AmbientSpace,
-    d_grid: np.ndarray | None = None,
-    tol: ToleranceConfig | None = None,
-) -> CrossoverResult:
+def find_crossover(amb: AmbientSpace, d_grid: np.ndarray | None = None) -> CrossoverResult:
     """Sweep ``d`` over a grid, comparing areas at the reference radius ``R(d)``.
 
     Returns the first grid point where the disk pair costs more than the
@@ -517,7 +505,7 @@ def find_crossover(
     rows = []
     for d in grid:
         d = float(d)
-        rows.append(compare_areas(amb, d, truncation_radius(d), tol))
+        rows.append(compare_areas(amb, d, truncation_radius(d)))
     crossover = None
     monotone = True
     for row in rows:
@@ -536,24 +524,21 @@ def find_crossover(
     )
 
 
-def connected_boundary_for_height(
-    amb: AmbientSpace,
-    h: float,
-    d_grid: np.ndarray | None = None,
-    tol: float = 1e-9,
-) -> AreaComparison:
+def connected_boundary_for_height(amb: AmbientSpace, h: float) -> AreaComparison:
     """Boundary pair of circles at heights ``+-h`` spanned more cheaply connected.
 
     Finds ``(d, R)`` with ``profile_height = h`` at radius ``R`` near the
     reference radius, taking ``d`` at or beyond the sweep crossover so the
     catenoid beats the two disks.  Requires ``h`` below the height supremum.
+    The sweep runs on :func:`default_crossover_grid`, and both solves stop
+    at ``|height - h| <= 1e-9`` or once the bracket is narrower than that.
     """
     sup = asymptotic_height_supremum(amb)
     if not (0.0 < h < sup):
         raise DomainError(
             f"half-height {h!r} must lie strictly between 0 and the supremum {sup!r}"
         )
-    sweep = find_crossover(amb, d_grid)
+    sweep = find_crossover(amb)
     if not sweep.found:
         raise DomainError("no crossover point found on the sweep grid")
     d_start = sweep.crossover_d
@@ -578,7 +563,7 @@ def connected_boundary_for_height(
                     f"half-height {h!r} not reached at the reference radius below "
                     f"d = 1e12; it may be too close to the supremum {sup!r}"
                 )
-        d = bisect_monotone(height_at_reference, d_start, hi, target=h, tol=tol)
+        d = bisect_monotone(height_at_reference, d_start, hi, target=h, tol=_BOUNDARY_TOL)
 
     profile = CatenoidProfile(amb, d)
 
@@ -589,7 +574,9 @@ def connected_boundary_for_height(
         upper += max(1.0, upper)
     else:
         raise DomainError(f"half-height {h!r} not bracketed at d = {d!r}")
-    R = bisect_monotone(functools.partial(height, d), profile.neck, upper, target=h, tol=tol)
+    R = bisect_monotone(
+        functools.partial(height, d), profile.neck, upper, target=h, tol=_BOUNDARY_TOL
+    )
     return compare_areas(amb, d, R)
 
 

@@ -17,7 +17,9 @@ Subcommands:
 
 All output is deterministic: identical invocations write byte-identical
 files.  A ``--config`` file supplies ``key=value`` defaults for any
-long option of the chosen subcommand.
+long option of the chosen subcommand.  ``--abs-tol`` and ``--rel-tol``
+set the quadrature tolerances, and only the subcommands that integrate
+(``catenoid-height``, ``lemmas`` and ``plateau``) take them.
 """
 
 from __future__ import annotations
@@ -52,14 +54,16 @@ def load_config(path) -> dict[str, str]:
 
 
 def _ambient(args) -> AmbientSpace:
+    """The ambient space of a subcommand that takes the tolerance flags."""
     tol = ToleranceConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     return AmbientSpace(args.tau, tol)
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _add_common(sp: argparse.ArgumentParser, *, tolerances: bool = False) -> None:
     sp.add_argument("--tau", type=float, default=0.0, help="bundle curvature, >= 0")
-    sp.add_argument("--abs-tol", type=float, default=1e-10)
-    sp.add_argument("--rel-tol", type=float, default=1e-10)
+    if tolerances:
+        sp.add_argument("--abs-tol", type=float, default=1e-10)
+        sp.add_argument("--rel-tol", type=float, default=1e-10)
     sp.add_argument("--config", default=None, help="key=value defaults file")
 
 
@@ -71,14 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catenoid-height", help="asymptotic catenoid height")
-    _add_common(p)
+    _add_common(p, tolerances=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--d", type=float, help="neck parameter")
     g.add_argument("--height", type=float, help="target height to invert")
     p.set_defaults(func=cmd_catenoid_height)
 
     p = sub.add_parser("lemmas", help="area lemma sweep over neck parameters")
-    _add_common(p)
+    _add_common(p, tolerances=True)
     p.add_argument("--d-start", type=float, default=8.0)
     p.add_argument("--d-stop", type=float, default=1e5)
     p.add_argument("--d-count", type=int, default=25)
@@ -105,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("plateau", help="discrete minimization experiments")
-    _add_common(p)
+    _add_common(p, tolerances=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--height", type=float, help="connected-vs-disks at half-height h")
     g.add_argument(
@@ -214,7 +218,7 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_isometry_bound(args) -> int:
-    amb = _ambient(args)
+    amb = AmbientSpace(args.tau)
     try:
         mags = [float(s) for s in args.magnitudes.split(",") if s]
     except ValueError as exc:
@@ -244,7 +248,7 @@ def cmd_isometry_bound(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    amb = _ambient(args)
+    amb = AmbientSpace(args.tau)
     comps = _csvio.read_curve_components(args.curve_file)
     curve = curves.AsymptoticCurve(
         barriers.BoundaryCurve.from_arrays(ths, ts, closed=True) for ths, ts in comps
@@ -373,7 +377,7 @@ def cmd_plateau(args) -> int:
 
 
 def cmd_rectangle(args) -> int:
-    amb = _ambient(args)
+    amb = AmbientSpace(args.tau)
     delta = barriers.delta_for_slab(amb, args.t1, args.t2)
     print(f"tau = {amb.tau!r}")
     print(f"slab = ({args.t1!r}, {args.t2!r})")

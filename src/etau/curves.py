@@ -41,6 +41,7 @@ import numpy as np
 from .barriers import (
     BoundaryCurve,
     _angular_window_pairs,
+    _wrapped_gap,
     horizontal_circle,
     is_simple,
     min_rectangle_height,
@@ -136,8 +137,7 @@ def _samples_within(a: BoundaryCurve, b: BoundaryCurve, sep: float) -> bool:
     tb, vb = b.theta_array(), b.t_array()
     two_pi = 2.0 * math.pi
     for i, j in _angular_window_pairs(ta % two_pi, tb % two_pi, sep + 1e-9):
-        dth = np.abs(ta[i] - tb[j]) % two_pi
-        dth = np.minimum(dth, two_pi - dth)
+        dth = _wrapped_gap(ta[i], tb[j])
         dt = va[i] - vb[j]
         if bool((np.sqrt(dth * dth + dt * dt) <= sep).any()):
             return True

@@ -31,7 +31,7 @@ BOUNDARY_MARGIN = 1e-12
 
 @dataclass(frozen=True)
 class AmbientSpace:
-    """The space E(-1, tau) together with the tolerance configuration."""
+    """The space E(-1, tau) with the quadrature tolerances its integrals read."""
 
     tau: float
     tol: ToleranceConfig = field(default_factory=ToleranceConfig)
@@ -43,6 +43,8 @@ class AmbientSpace:
             raise UsageError(
                 "negative tau: conjugate by a vertical reflection instead (tau >= 0 normalization)"
             )
+        if not isinstance(self.tol, ToleranceConfig):
+            raise UsageError(f"tol must be a ToleranceConfig, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

@@ -64,11 +64,29 @@ _ROUNDING = 50.0 * 2.220446049250313e-16  # 50 eps, the qk15 rounding factor
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Shared tolerance knobs for quadrature and bisection."""
+    """Stopping rule of :func:`integrate`.
+
+    An integral is accepted once its error estimate is at most
+    ``max(abs_tol, rel_tol * |value|)``, and abandoned unconverged when
+    the next split would pass ``max_evals`` integrand evaluations (the
+    first 15-point panel always runs).  Both tolerances
+    must be finite and nonnegative, and not both zero; ``max_evals`` must
+    be at least 1.  Anything else raises UsageError.
+    """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_evals: int = 200_000
+
+    def __post_init__(self) -> None:
+        for name in ("abs_tol", "rel_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise UsageError(f"tolerance {name} must be finite and >= 0, got {value!r}")
+        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
+            raise UsageError("tolerances abs_tol and rel_tol must not both be 0")
+        if self.max_evals < 1:
+            raise UsageError(f"max_evals must be at least 1, got {self.max_evals!r}")
 
 
 @dataclass(frozen=True)
@@ -77,17 +95,6 @@ class QuadratureResult:
     error_estimate: float
     evaluations: int
     converged: bool
-
-
-def _as_tolerances(tol) -> ToleranceConfig:
-    if tol is None:
-        return ToleranceConfig()
-    if isinstance(tol, ToleranceConfig):
-        return tol
-    t = float(tol)
-    if t <= 0:
-        raise UsageError("tolerance must be positive, got %g" % t)
-    return ToleranceConfig(abs_tol=t, rel_tol=t)
 
 
 def _panel(f, a: float, b: float):
@@ -121,14 +128,14 @@ def _panel(f, a: float, b: float):
     return kron, max(abs(kron - gauss), _ROUNDING * h * resabs)
 
 
-def integrate(f, a: float, b: float, tol=None) -> QuadratureResult:
-    """Integrate f over [a, b] adaptively.
+def integrate(f, a: float, b: float, tol: ToleranceConfig | None = None) -> QuadratureResult:
+    """Integrate f over [a, b] adaptively under ``tol`` (default ToleranceConfig()).
 
     Returns a QuadratureResult; `converged` is False when the evaluation
     budget ran out before the requested tolerance was met.  Integrands
     returning NaN or infinity raise DomainError.
     """
-    tols = _as_tolerances(tol)
+    tols = ToleranceConfig() if tol is None else tol
     a = float(a)
     b = float(b)
     if a == b:

@@ -68,7 +68,7 @@ from etau.barriers import BoundaryCurve, _segments
 from etau.catenoid import CatenoidProfile, asymptotic_height
 from etau.errors import DomainError
 from etau.models import BoundaryPoint, fiber_form
-from etau.numerics import QuadratureResult, ToleranceConfig, _as_tolerances, integrate
+from etau.numerics import QuadratureResult, ToleranceConfig, integrate
 
 
 def reference_is_simple(curve: BoundaryCurve, tol: float = 1e-12, block: int = 512) -> bool:
@@ -679,7 +679,7 @@ def integrate_to_infinity(f, a: float, tail_bound, tol=None) -> QuadratureResult
     half the absolute tolerance; the bound is then folded into the reported
     error estimate.
     """
-    tols = _as_tolerances(tol)
+    tols = ToleranceConfig() if tol is None else tol
     a = float(a)
     half = 0.5 * tols.abs_tol
     span = 1.0

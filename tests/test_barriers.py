@@ -180,6 +180,27 @@ def test_containment_sweep_matches_point_loop():
     assert 0.1 < np.mean(verdicts) < 0.9
 
 
+def test_arc_endpoints_in_either_order_name_the_same_shorter_arc():
+    amb = AmbientSpace(0.3)
+    t1 = -1.0
+    t2 = t1 + 2.5 * bar.min_rectangle_height(amb)
+    delta = bar.delta_for_slab(amb, t1, t2)
+    verdicts = []
+    for th1 in (1.0, 6.2, 3.0):
+        th2 = th1 + 0.8 * delta
+        fwd = bar.place_rectangle(amb, th1, th2, t1, t2)
+        rev = bar.place_rectangle(amb, th2, th1, t1, t2)
+        assert rev.r == pytest.approx(fwd.r, rel=1e-12)
+        turn = (rev.rotation - fwd.rotation + math.pi) % (2.0 * math.pi) - math.pi
+        assert abs(turn) < 1e-12
+        for a, b in ((th1, th2), (th1, th2 - 0.01), (th1 + 0.01, th2)):
+            got = bar.containment_sweep(fwd, b, a, t1, t2)
+            assert got == bar.containment_sweep(fwd, a, b, t1, t2)
+            assert got == reference_containment_sweep(fwd, b, a, t1, t2)
+            verdicts.append(got)
+    assert 0.1 < np.mean(verdicts) < 0.9
+
+
 def test_boundary_curve_transforms():
     c = bar.horizontal_circle(1.0, 360)
     up = c.translated(0.5)

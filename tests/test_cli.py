@@ -67,6 +67,81 @@ def test_catenoid_height_reports_unreachable_tiny_tolerance(capsys):
     assert err.startswith("error: asymptotic height: quadrature stopped")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--abs-tol", "inf", "--rel-tol", "inf"),
+        ("--abs-tol", "inf"),
+        ("--rel-tol", "inf"),
+        ("--abs-tol", "-1"),
+        ("--rel-tol", "-1"),
+        ("--abs-tol", "nan"),
+        ("--rel-tol", "nan"),
+        ("--abs-tol", "0", "--rel-tol", "0"),
+    ],
+)
+def test_catenoid_height_rejects_invalid_tolerances(capsys, monkeypatch, flags):
+    # rejected before any quadrature: an infinite tolerance accepts any
+    # estimate, and a nan or two zero tolerances can never be met
+    calls = count_calls(monkeypatch, catenoid, "integrate")
+    rc, out, err = run(capsys, "catenoid-height", "--d", "0.01", "--tau", "0.5", *flags)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: tolerance")
+    assert calls == []
+
+
+def test_catenoid_height_accepts_a_zero_absolute_tolerance(capsys):
+    rc, out, _ = run(
+        capsys, "catenoid-height", "--d", "0.01", "--tau", "0.5",
+        "--abs-tol", "0", "--rel-tol", "1e-10",
+    )
+    assert rc == 0
+    h = float(out.split("asymptotic_height = ")[1].split()[0])
+    assert abs(h - 0.0621735632101432) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--curve-file", "curve.csv"),
+        ("rectangle", "--t1", "0", "--t2", "10"),
+        ("isometry-bound",),
+    ],
+)
+def test_tolerance_flags_only_where_quadrature_runs(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--abs-tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --abs-tol 1e-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [("catenoid-height", "--d", "2"), ("lemmas",), ("plateau", "--disk", "2")]
+)
+def test_tolerance_flags_reach_the_ambient_space(argv):
+    args = cli.build_parser().parse_args([*argv, "--abs-tol", "1e-8", "--rel-tol", "1e-7"])
+    tol = cli._ambient(args).tol
+    assert (tol.abs_tol, tol.rel_tol) == (1e-8, 1e-7)
+
+
+def test_config_file_tolerances_feed_catenoid_height(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau = 0.5\nd = 2.0\nabs_tol = 1e-6\nrel_tol = 0\n")
+    rc, from_config, _ = run(capsys, "catenoid-height", "--config", str(cfg))
+    assert rc == 0
+    rc, direct, _ = run(
+        capsys, "catenoid-height", "--tau", "0.5", "--d", "2.0",
+        "--abs-tol", "1e-6", "--rel-tol", "0",
+    )
+    assert rc == 0 and from_config == direct
+    cfg.write_text("tau = 0.5\nd = 2.0\nabs_tol = -1\n")
+    rc, out, err = run(capsys, "catenoid-height", "--config", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: tolerance abs_tol")
+
+
 def test_lemmas_reports_cosh_overflow(tmp_path, capsys):
     # the truncation radius 1.5 log d passes 710, where cosh overflows
     rc, out, err = run(

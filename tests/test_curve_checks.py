@@ -177,6 +177,19 @@ def test_separation_matches_reference(gap):
                 cur.AsymptoticCurve([a, b])
 
 
+def test_separation_wraps_across_the_seam():
+    # the only close pair straddles theta = 0: b's sample at 2 pi - 4e-7 and
+    # a's at 0, 6.4e-7 apart; every other pair is at least 3.8e-5 apart
+    a = bar.horizontal_circle(0.0, 720)
+    theta = (np.arange(720) * (2.0 * math.pi / 720) - 4e-7) % (2.0 * math.pi)
+    b = bar.BoundaryCurve.from_arrays(theta, 5e-7 + (1.0 - np.cos(theta)), closed=True)
+    assert reference_min_sample_distance(a, b) <= cur._MIN_SEPARATION
+    assert cur._samples_within(a, b, cur._MIN_SEPARATION)
+    assert cur._samples_within(b, a, cur._MIN_SEPARATION)
+    with pytest.raises(DomainError, match="come within"):
+        cur.AsymptoticCurve([a, b])
+
+
 def _traced_peak_mb(fn):
     tracemalloc.start()
     try:

@@ -25,6 +25,12 @@ def test_ambient_rejects_negative_tau():
         AmbientSpace(-0.5)
 
 
+def test_ambient_takes_tolerances_only_as_a_config():
+    # a bare float fails at construction, not inside the first quadrature
+    with pytest.raises(UsageError, match="ToleranceConfig"):
+        AmbientSpace(0.5, 1e-8)
+
+
 def test_cylinder_point_must_be_inside_disk():
     with pytest.raises(DomainError):
         CylinderPoint(1.0, 0.0, 0.0)

@@ -87,8 +87,33 @@ def test_determinism():
 
 
 def test_error_estimate_is_honest():
-    res = integrate(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, 1e-8)
+    res = integrate(
+        lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, ToleranceConfig(abs_tol=1e-8, rel_tol=1e-8)
+    )
     assert abs(res.value - 2.0) <= 10.0 * max(res.error_estimate, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"abs_tol": math.inf},
+        {"rel_tol": math.inf},
+        {"abs_tol": math.nan},
+        {"rel_tol": math.nan},
+        {"abs_tol": -1.0},
+        {"rel_tol": -1e-300},
+        {"abs_tol": 0.0, "rel_tol": 0.0},
+        {"max_evals": 0},
+    ],
+)
+def test_tolerance_config_rejects_invalid_values(bad):
+    with pytest.raises(UsageError):
+        ToleranceConfig(**bad)
+
+
+def test_tolerance_config_allows_one_zero_tolerance():
+    for tols in (ToleranceConfig(abs_tol=0.0), ToleranceConfig(rel_tol=0.0)):
+        assert integrate(math.exp, 0.0, 1.0, tols).converged
 
 
 def test_bisect_cosine():

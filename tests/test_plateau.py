@@ -363,6 +363,40 @@ def test_gradient_matches_finite_differences():
             assert np.abs(grad[mesh.boundary_mask]).max() == 0.0
 
 
+def race_annulus(amb, h=1.2):
+    analytic = connected_boundary_for_height(amb, h)
+    trunc = TruncatedCatenoid(CatenoidProfile(amb, analytic.d), analytic.R)
+    return plateau.mesh_from_grid(annulus_vertex_grid(trunc, 49, 160))
+
+
+def collapsed_disk():
+    # an interior vertex moved onto a neighbour flattens the two triangles
+    # that share their edge
+    mesh = wobbled_disk()
+    i = int(np.flatnonzero(~mesh.boundary_mask)[0])
+    tri = mesh.triangles[np.any(mesh.triangles == i, axis=1)][0]
+    j = int(tri[tri != i][0])
+    mesh.vertices[i] = mesh.vertices[j]
+    return mesh
+
+
+@pytest.mark.parametrize(
+    "tau, build",
+    [(0.3, lambda amb: wobbled_disk()), (0.1, race_annulus), (0.3, lambda amb: collapsed_disk())],
+    ids=["disk", "race-annulus", "collapsed-disk"],
+)
+def test_discrete_area_report_matches_the_solver_start(tau, build):
+    amb = AmbientSpace(tau)
+    mesh = build(amb)
+    total, areas, degenerate = plateau.discrete_area_report(amb, mesh)
+    _, rep = plateau.minimize(amb, mesh, plateau.SolverConfig(max_iterations=1))
+    assert total == rep.area_history[0]
+    assert plateau.discrete_area(amb, mesh) == total
+    assert areas.shape == (len(mesh.triangles),)
+    assert float(np.sum(areas)) == total
+    assert degenerate == rep.degenerate_triangles
+
+
 def test_minimize_flattens_wobbled_disk():
     amb = AmbientSpace(0.0)
     mesh = wobbled_disk(n_theta=20, n_r=4, amplitude=0.05)
@@ -637,7 +671,12 @@ def test_barrier_and_degeneracy_rejections_halve(monkeypatch):
     def wrap(ev, k):
         return Degenerate(ev) if k in (1, 2, 6) else ev
 
-    rep, records = line_search_replay(monkeypatch, AmbientSpace(0.3), wobbled_disk(), wrap=wrap)
+    # capped at 20 iterations, before the solve slides, so the only
+    # degenerate trials are the three forced ones
+    cfg = plateau.SolverConfig(max_iterations=20)
+    rep, records = line_search_replay(
+        monkeypatch, AmbientSpace(0.3), wobbled_disk(), cfg, wrap=wrap
+    )
     assert [r.kind for r in records[:3]] == ["degenerate", "degenerate", "accepted"]
     assert records[5].kind == "degenerate" and rep.rejected_degenerate == 3
     halved = steps_after(records, ("degenerate",))
