@@ -16,7 +16,6 @@ from .models import (
     CylinderPoint,
     HalfSpacePoint,
     MetricTensor,
-    TangentVector,
     conformal_factor,
     metric_cylinder,
     metric_halfspace,

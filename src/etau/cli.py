@@ -19,7 +19,7 @@ All output is deterministic: identical invocations write byte-identical
 files.  A ``--config`` file supplies ``key=value`` defaults for any
 long option of the chosen subcommand.  ``--abs-tol`` and ``--rel-tol``
 set the quadrature tolerances, and only the subcommands that integrate
-(``catenoid-height``, ``lemmas`` and ``plateau``) take them.
+(``catenoid-height``, ``lemmas`` and ``plateau --height``) take them.
 """
 
 from __future__ import annotations
@@ -54,16 +54,16 @@ def load_config(path) -> dict[str, str]:
 
 
 def _ambient(args) -> AmbientSpace:
-    """The ambient space of a subcommand that takes the tolerance flags."""
-    tol = ToleranceConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-    return AmbientSpace(args.tau, tol)
+    """The ambient space of a subcommand with tolerance flags; an unset flag keeps its default."""
+    given = {k: getattr(args, k) for k in ("abs_tol", "rel_tol") if getattr(args, k) is not None}
+    return AmbientSpace(args.tau, ToleranceConfig(**given))
 
 
 def _add_common(sp: argparse.ArgumentParser, *, tolerances: bool = False) -> None:
     sp.add_argument("--tau", type=float, default=0.0, help="bundle curvature, >= 0")
     if tolerances:
-        sp.add_argument("--abs-tol", type=float, default=1e-10)
-        sp.add_argument("--rel-tol", type=float, default=1e-10)
+        sp.add_argument("--abs-tol", type=float)
+        sp.add_argument("--rel-tol", type=float)
     sp.add_argument("--config", default=None, help="key=value defaults file")
 
 
@@ -275,6 +275,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_plateau(args) -> int:
+    if args.disk is not None and (args.abs_tol is not None or args.rel_tol is not None):
+        raise UsageError("plateau --disk integrates nothing: --abs-tol and --rel-tol do not apply")
     amb = _ambient(args)
     cfg = plateau.SolverConfig(
         max_iterations=args.max_iterations, gradient_tol=args.gradient_tol

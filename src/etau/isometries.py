@@ -28,6 +28,9 @@ c = tau (theta1 + theta2) makes the vertical displacement of F satisfy
 
 strictly below the sharp threshold 2 tau pi, and approaching it as
 |f(0)| -> 1.
+
+Lifts act on arrays: (n, 3) vertex rows (x, y, t) in, (n, 3) images or (n, 3, 3) Jacobians
+out, and a DomainError names any bad row.  ``apply_lift`` and ``lift_jacobian`` take one point.
 """
 
 from __future__ import annotations
@@ -38,8 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
-from .models import AmbientSpace, CylinderPoint
+from .errors import DomainError, UsageError
+from .models import BOUNDARY_MARGIN, AmbientSpace, CylinderPoint
+
+__all__ = [
+    "POSITIVE", "NEGATIVE", "MobiusIsometry", "mobius_identity", "disk_rotation",
+    "hyperbolic_mobius", "mobius_apply", "mobius_derivative", "mobius_compose", "SectorBranch",
+    "compute_branch_sector", "arg_fprime", "LiftedIsometry", "make_lift", "bounded_lift",
+    "vertical_translation", "rotation_lift", "hyperbolic_translation", "t_shift",
+    "apply_lift_array", "lift_jacobian_array", "apply_lift", "lift_jacobian", "sampled_sup_shift",
+]
 
 _NORMALIZATION_SLACK = 1e-6
 _DEGENERATE_W2 = 1e-150
@@ -230,45 +241,57 @@ def t_shift(lift: LiftedIsometry, z):
     return lift.c - 2.0 * lift.tau * arg_fprime(lift.f, z, lift.sector)
 
 
+def _disk_vertices(vertices):
+    """Checked (n, 3) float rows (x, y, t) and their disk coordinates z = x + i y."""
+    v = np.asarray(vertices, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise UsageError("vertices must have shape (n, 3), got %s" % (v.shape,))
+    rho2 = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+    bad = np.flatnonzero(~(np.isfinite(v).all(axis=1) & (rho2 < 1.0 - BOUNDARY_MARGIN)))
+    if bad.size:
+        raise DomainError(
+            "vertex row %d = %r is not a finite point of the open unit disk (margin %g)"
+            % (bad[0], v[bad[0]].tolist(), BOUNDARY_MARGIN)
+        )
+    return v, v[:, 0] + 1j * v[:, 1]
+
+
+def apply_lift_array(lift: LiftedIsometry, vertices) -> np.ndarray:
+    """Images of (n, 3) cylinder-model vertices (x, y, t) under the lift, shape (n, 3)."""
+    v, z = _disk_vertices(vertices)
+    w = mobius_apply(lift.f, z)
+    if lift.orientation == POSITIVE:
+        return np.stack([w.real, w.imag, v[:, 2] + t_shift(lift, z)], axis=1)
+    t = 2.0 * lift.tau * arg_fprime(lift.f, z, lift.sector) + lift.c - v[:, 2]
+    return np.stack([w.real, -w.imag, t], axis=1)
+
+
+def lift_jacobian_array(lift: LiftedIsometry, vertices) -> np.ndarray:
+    """Analytic Jacobians of the lift at (n, 3) vertices, shape (n, 3, 3).
+
+    d(arg f') = Im(q dz) with q = f''/f' = -2 w2 / (w2 z - conj(w1)), so its x and y
+    derivatives are Im q and Re q.  The negative lift negates the last two rows.
+    """
+    v, z = _disk_vertices(vertices)
+    fp = mobius_derivative(lift.f, z)
+    q = -2.0 * lift.f.w2 / (lift.f.w2 * z - np.conj(lift.f.w1))
+    sign = 1.0 if lift.orientation == POSITIVE else -1.0
+    k = -sign * 2.0 * lift.tau
+    jac = np.zeros((len(v), 3, 3))
+    jac[:, 0, :2] = np.stack([fp.real, -fp.imag], axis=1)
+    jac[:, 1, :2] = np.stack([sign * fp.imag, sign * fp.real], axis=1)
+    jac[:, 2] = np.stack([k * q.imag, k * q.real, np.full(len(v), sign)], axis=1)
+    return jac
+
+
 def apply_lift(lift: LiftedIsometry, p: CylinderPoint) -> CylinderPoint:
     """Apply the lifted isometry to a cylinder-model point."""
-    z = p.z
-    w = mobius_apply(lift.f, z)
-    a = arg_fprime(lift.f, z, lift.sector)
-    if lift.orientation == POSITIVE:
-        t = p.t - 2.0 * lift.tau * a + lift.c
-    else:
-        w = w.conjugate()
-        t = -p.t + 2.0 * lift.tau * a + lift.c
-    return CylinderPoint(w.real, w.imag, t)
+    return CylinderPoint(*apply_lift_array(lift, p.as_array()[None])[0].tolist())
 
 
 def lift_jacobian(lift: LiftedIsometry, p: CylinderPoint) -> np.ndarray:
-    """Analytic Jacobian of apply_lift at p.
-
-    d(arg f') = Im(q dz) with q = f''/f' = -2 w2 / (w2 z - conj(w1)), so
-    d(arg f')/dx = Im q and d(arg f')/dy = Re q.
-    """
-    z = p.z
-    fp = complex(mobius_derivative(lift.f, z))
-    den = lift.f.w2 * z - lift.f.w1.conjugate()
-    q = -2.0 * lift.f.w2 / den
-    two_tau = 2.0 * lift.tau
-    if lift.orientation == POSITIVE:
-        return np.array(
-            [
-                [fp.real, -fp.imag, 0.0],
-                [fp.imag, fp.real, 0.0],
-                [-two_tau * q.imag, -two_tau * q.real, 1.0],
-            ]
-        )
-    return np.array(
-        [
-            [fp.real, -fp.imag, 0.0],
-            [-fp.imag, -fp.real, 0.0],
-            [two_tau * q.imag, two_tau * q.real, -1.0],
-        ]
-    )
+    """Analytic Jacobian of apply_lift at p."""
+    return lift_jacobian_array(lift, p.as_array()[None])[0]
 
 
 def sampled_sup_shift(

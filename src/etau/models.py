@@ -24,6 +24,13 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .numerics import ToleranceConfig
 
+__all__ = [
+    "BOUNDARY_MARGIN", "AmbientSpace", "CylinderPoint", "HalfSpacePoint", "BoundaryPoint",
+    "MetricTensor", "fiber_form", "conformal_factor", "cylinder_metric_matrices",
+    "metric_cylinder", "metric_halfspace", "to_disk_model", "to_halfspace_model",
+    "to_disk_jacobian", "pullback_metric", "PatchAreaResult", "patch_area",
+]
+
 # Points closer than this to the boundary circle / boundary plane are refused:
 # the conformal factor blows up and double precision loses the geometry.
 BOUNDARY_MARGIN = 1e-12
@@ -109,20 +116,6 @@ class BoundaryPoint:
         object.__setattr__(self, "theta", 0.0 if theta == 2.0 * math.pi else theta)
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """Coordinate tangent vector (vx, vy, vt) at a model point."""
-
-    base: CylinderPoint | HalfSpacePoint
-    v: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.v, dtype=float)
-        if arr.shape != (3,):
-            raise UsageError("tangent vector must have shape (3,), got %s" % (arr.shape,))
-        object.__setattr__(self, "v", arr)
-
-
 class MetricTensor:
     """Symmetric positive definite 3x3 matrix attached to a base point."""
 
@@ -167,27 +160,17 @@ def conformal_factor(x: float, y: float) -> float:
     return lam
 
 
-def metric_cylinder_components(tau, x, y):
-    """Raw cylinder-model metric components at (x, y); array friendly.
-
-    Returns (gxx, gyy, gtt, gxy, gxt, gyt), built from :func:`fiber_form`.
-    """
-    lam, a, b = fiber_form(tau, x, y)
-    lam2 = lam * lam
-    gxx = lam2 + a * a
-    gyy = lam2 + b * b
-    gtt = np.ones_like(lam) if isinstance(lam, np.ndarray) else 1.0
-    gxy = a * b
-    gxt = a
-    gyt = b
-    return gxx, gyy, gtt, gxy, gxt, gyt
+def cylinder_metric_matrices(tau, x, y) -> np.ndarray:
+    """Cylinder-model metrics at arrays (x, y), shape ``np.shape(x) + (3, 3)``; no domain check."""
+    lam, a, b = fiber_form(tau, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    lam2, ab, one = lam * lam, a * b, np.ones_like(lam)
+    g = np.stack([lam2 + a * a, ab, a, ab, lam2 + b * b, b, a, b, one], axis=-1)
+    return g.reshape(np.shape(lam) + (3, 3))
 
 
 def metric_cylinder(amb: AmbientSpace, p: CylinderPoint) -> MetricTensor:
     """Metric tensor of the cylinder model at p."""
-    gxx, gyy, gtt, gxy, gxt, gyt = metric_cylinder_components(amb.tau, p.x, p.y)
-    m = np.array([[gxx, gxy, gxt], [gxy, gyy, gyt], [gxt, gyt, gtt]])
-    return MetricTensor(m, p)
+    return MetricTensor(cylinder_metric_matrices(amb.tau, p.x, p.y), p)
 
 
 def metric_halfspace(amb: AmbientSpace, p: HalfSpacePoint) -> MetricTensor:
@@ -205,13 +188,6 @@ def metric_halfspace(amb: AmbientSpace, p: HalfSpacePoint) -> MetricTensor:
         ]
     )
     return MetricTensor(m, p)
-
-
-def inner(g: MetricTensor, u: TangentVector, v: TangentVector) -> float:
-    """Inner product <u, v> under g; all three must share the base point."""
-    if u.base != g.base or v.base != g.base:
-        raise UsageError("inner product requires matching base points")
-    return float(u.v @ g.matrix @ v.v)
 
 
 def _phi(z: complex) -> complex:
@@ -261,10 +237,10 @@ def to_disk_jacobian(amb: AmbientSpace, p: HalfSpacePoint) -> np.ndarray:
 
 
 def pullback_metric(g_image, jacobian: np.ndarray) -> np.ndarray:
-    """Pull a metric matrix back through a map with the given Jacobian: J^T G J."""
+    """J^T G J for one 3x3 G (or MetricTensor) and J, or for stacks of shape (..., 3, 3)."""
     gm = g_image.matrix if isinstance(g_image, MetricTensor) else np.asarray(g_image, dtype=float)
     j = np.asarray(jacobian, dtype=float)
-    return j.T @ gm @ j
+    return np.swapaxes(j, -1, -2) @ gm @ j
 
 
 @dataclass(frozen=True)
@@ -313,7 +289,7 @@ def patch_area(
             pw0 = immersion(u, w - hw).as_array()
             fu = (pu1 - pu0) / (2.0 * hu)
             fw = (pw1 - pw0) / (2.0 * hw)
-            g = metric_cylinder(amb, p).matrix
+            g = cylinder_metric_matrices(amb.tau, p.x, p.y)
             e = fu @ g @ fu
             f = fu @ g @ fw
             gg = fw @ g @ fw

@@ -1,11 +1,15 @@
-"""Shared finite-difference, curve and kernel-counting helpers for the test suite."""
+"""Shared finite-difference, curve, lift and kernel-counting helpers for the test suite."""
 
+import cmath
+import functools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
 from etau import _kernels
 from etau.barriers import BoundaryCurve
+from etau.isometries import MobiusIsometry
 from etau.models import BoundaryPoint
 
 
@@ -97,3 +101,34 @@ def record_plans(monkeypatch, wrap=None):
 
     monkeypatch.setattr(_kernels, "plan", recording_plan)
     return plans
+
+
+@functools.lru_cache(maxsize=1)
+def criterion_01_draws():
+    """The 400 lifts and 40,000 points of acceptance criterion 1, in draw order.
+
+    For each tau in (0, 0.1, 0.5, 1) a generator seeded 101 draws 100 lifts
+    (a rapidity below 2, two angles and a branch constant), each followed
+    by its 100 points 0.9 sqrt(u) e^{i phi} of the disk with t = 3 N(0, 1).
+    Returns (tau, MobiusIsometry, c, vertices) tuples with vertices of
+    shape (100, 3).
+    """
+    draws = []
+    for tau in (0.0, 0.1, 0.5, 1.0):
+        rng = np.random.default_rng(101)
+        for _ in range(100):
+            r = rng.uniform(0.0, 2.0)
+            a1 = rng.uniform(0.0, 2.0 * math.pi)
+            a2 = rng.uniform(0.0, 2.0 * math.pi)
+            m = MobiusIsometry(cmath.rect(math.cosh(r), a1), cmath.rect(math.sinh(r), a2))
+            c = rng.normal()
+            rows = []
+            for _ in range(100):
+                z = 0.9 * math.sqrt(rng.uniform(0.0, 1.0)) * cmath.exp(
+                    1j * rng.uniform(0.0, 2.0 * math.pi)
+                )
+                rows.append((z.real, z.imag, 3.0 * rng.normal()))
+            vertices = np.array(rows)
+            vertices.flags.writeable = False  # the cache hands these to every caller
+            draws.append((tau, m, c, vertices))
+    return tuple(draws)

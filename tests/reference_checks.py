@@ -53,7 +53,13 @@ catenoid asymptotic height as an improper integral in the regular
 variable ``t``, cut off by ``integrate_to_infinity`` where a tail bound
 falls below half the absolute tolerance; ``catenoid.asymptotic_height``
 replaced it with a proper integral in ``gd(t)`` and must agree within
-both quadrature tolerances.
+both quadrature tolerances.  ``reference_apply_lift`` and
+``reference_lift_jacobian`` are the one-point lift and its Jacobian that
+the array forms ``isometries.apply_lift_array`` and
+``lift_jacobian_array`` replaced, and ``reference_metric_cylinder`` is
+the 3x3 cylinder metric assembled from scalar components, as
+``models.metric_cylinder`` did before it read
+``models.cylinder_metric_matrices``; the matrices must agree bit for bit.
 """
 
 import functools
@@ -67,7 +73,8 @@ from etau._kernels.mesh_numpy import _DEGEN_REL
 from etau.barriers import BoundaryCurve, _segments
 from etau.catenoid import CatenoidProfile, asymptotic_height
 from etau.errors import DomainError
-from etau.models import BoundaryPoint, fiber_form
+from etau.isometries import POSITIVE, arg_fprime, mobius_apply, mobius_derivative
+from etau.models import BoundaryPoint, CylinderPoint, fiber_form
 from etau.numerics import QuadratureResult, ToleranceConfig, integrate
 
 
@@ -724,3 +731,50 @@ def reference_asymptotic_height(tau: float, d: float, tol=None) -> QuadratureRes
         return front / math.sqrt(margin) * 2.0 * math.exp(-T)
 
     return integrate_to_infinity(f, 0.0, tail, tol)
+
+
+def reference_apply_lift(lift, p: CylinderPoint) -> CylinderPoint:
+    """Apply the lifted isometry to one cylinder-model point."""
+    z = p.z
+    w = mobius_apply(lift.f, z)
+    a = arg_fprime(lift.f, z, lift.sector)
+    if lift.orientation == POSITIVE:
+        t = p.t - 2.0 * lift.tau * a + lift.c
+    else:
+        w = w.conjugate()
+        t = -p.t + 2.0 * lift.tau * a + lift.c
+    return CylinderPoint(w.real, w.imag, t)
+
+
+def reference_lift_jacobian(lift, p: CylinderPoint) -> np.ndarray:
+    """Analytic Jacobian of ``reference_apply_lift`` at p."""
+    z = p.z
+    fp = complex(mobius_derivative(lift.f, z))
+    den = lift.f.w2 * z - lift.f.w1.conjugate()
+    q = -2.0 * lift.f.w2 / den
+    two_tau = 2.0 * lift.tau
+    if lift.orientation == POSITIVE:
+        return np.array(
+            [
+                [fp.real, -fp.imag, 0.0],
+                [fp.imag, fp.real, 0.0],
+                [-two_tau * q.imag, -two_tau * q.real, 1.0],
+            ]
+        )
+    return np.array(
+        [
+            [fp.real, -fp.imag, 0.0],
+            [-fp.imag, -fp.real, 0.0],
+            [two_tau * q.imag, two_tau * q.real, -1.0],
+        ]
+    )
+
+
+def reference_metric_cylinder(tau: float, x: float, y: float) -> np.ndarray:
+    """Cylinder-model metric matrix at one point (x, y), from scalar components."""
+    lam, a, b = fiber_form(tau, x, y)
+    lam2 = lam * lam
+    gxx = lam2 + a * a
+    gyy = lam2 + b * b
+    gxy = a * b
+    return np.array([[gxx, gxy, a], [gxy, gyy, b], [a, b, 1.0]])

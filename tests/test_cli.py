@@ -7,6 +7,7 @@ from etau import _csvio, catenoid, cli, curves
 from etau.barriers import BoundaryCurve
 from etau.errors import UsageError
 from etau.models import AmbientSpace, BoundaryPoint
+from etau.numerics import ToleranceConfig
 from reference_checks import reference_profile
 
 
@@ -117,12 +118,30 @@ def test_tolerance_flags_only_where_quadrature_runs(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [("catenoid-height", "--d", "2"), ("lemmas",), ("plateau", "--disk", "2")]
+    "argv", [("catenoid-height", "--d", "2"), ("lemmas",), ("plateau", "--height", "1")]
 )
 def test_tolerance_flags_reach_the_ambient_space(argv):
     args = cli.build_parser().parse_args([*argv, "--abs-tol", "1e-8", "--rel-tol", "1e-7"])
     tol = cli._ambient(args).tol
     assert (tol.abs_tol, tol.rel_tol) == (1e-8, 1e-7)
+    args = cli.build_parser().parse_args([*argv, "--rel-tol", "1e-7"])
+    assert cli._ambient(args).tol == ToleranceConfig(rel_tol=1e-7)
+
+
+def test_plateau_disk_refuses_tolerance_flags(tmp_path, capsys):
+    out_path = tmp_path / "disk.csv"
+    for flags in (["--abs-tol", "1e-8"], ["--rel-tol", "1e-10"]):
+        rc, out, err = run(capsys, "plateau", "--disk", "2", "--output", str(out_path), *flags)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: plateau --disk integrates nothing")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("disk = 2\nabs_tol = 1e-8\n")
+    rc, out, err = run(capsys, "plateau", "--config", str(cfg), "--output", str(out_path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: plateau --disk integrates nothing")
+    assert not out_path.exists()
 
 
 def test_config_file_tolerances_feed_catenoid_height(tmp_path, capsys):
