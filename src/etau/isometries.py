@@ -36,6 +36,7 @@ out, and a DomainError names any bad row.  ``apply_lift`` and ``lift_jacobian`` 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -294,6 +295,30 @@ def lift_jacobian(lift: LiftedIsometry, p: CylinderPoint) -> np.ndarray:
     return lift_jacobian_array(lift, p.as_array()[None])[0]
 
 
+@functools.lru_cache(maxsize=8)
+def _boundary_rings(ring_depths: tuple, ring_samples: int) -> np.ndarray:
+    """Read-only concatenation of the circles of radius ``1 - depth``."""
+    ang = np.linspace(0.0, 2.0 * math.pi, ring_samples, endpoint=False)
+    radii = 1.0 - np.asarray(ring_depths, dtype=float)
+    rings = (radii[:, None] * np.exp(1j * ang)).ravel()
+    rings.setflags(write=False)
+    return rings
+
+
+def _sup_shift_samples(n_random: int, seed: int, ring_depths, ring_samples: int) -> np.ndarray:
+    """The points of :func:`sampled_sup_shift`: seeded uniform ones, then the rings."""
+    rings = _boundary_rings(tuple(ring_depths), ring_samples)
+    rng = np.random.default_rng(seed)
+    radii = np.sqrt(rng.uniform(0.0, 1.0, n_random))
+    angles = rng.uniform(0.0, 2.0 * math.pi, n_random)
+    zs = np.empty(n_random + rings.size, dtype=complex)
+    # radii * exp(i angles), written without complex temporaries
+    np.multiply(radii, np.cos(angles), out=zs.real[:n_random])
+    np.multiply(radii, np.sin(angles), out=zs.imag[:n_random])
+    zs[n_random:] = rings
+    return zs
+
+
 def sampled_sup_shift(
     lift: LiftedIsometry,
     n_random: int = 10_000,
@@ -304,16 +329,10 @@ def sampled_sup_shift(
     """Sampled sup of |t-shift| over the open disk -> (sup, argmax z).
 
     Combines seeded uniform samples with rings hugging the boundary, where
-    the extremes of arg f' live.  Deterministic for fixed arguments.
+    the extremes of arg f' live; the rings are built once per
+    ``(ring_depths, ring_samples)``.  Deterministic for fixed arguments.
     """
-    rng = np.random.default_rng(seed)
-    radii = np.sqrt(rng.uniform(0.0, 1.0, n_random))
-    angles = rng.uniform(0.0, 2.0 * math.pi, n_random)
-    pts = [radii * np.exp(1j * angles)]
-    for depth in ring_depths:
-        ang = np.linspace(0.0, 2.0 * math.pi, ring_samples, endpoint=False)
-        pts.append((1.0 - depth) * np.exp(1j * ang))
-    zs = np.concatenate(pts)
+    zs = _sup_shift_samples(n_random, seed, ring_depths, ring_samples)
     shifts = t_shift(lift, zs)
     k = int(np.argmax(np.abs(shifts)))
     return float(np.abs(shifts[k])), complex(zs[k])

@@ -54,6 +54,11 @@ class AmbientSpace:
             raise UsageError(f"tol must be a ToleranceConfig, got {self.tol!r}")
 
 
+def _check_finite(model: str, x: float, y: float, t: float) -> None:
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(t)):
+        raise DomainError("%s point (%r, %r, %r) has a non-finite coordinate" % (model, x, y, t))
+
+
 @dataclass(frozen=True)
 class CylinderPoint:
     """Point (x, y, t) of the cylinder model, (x, y) strictly inside the unit disk."""
@@ -63,6 +68,7 @@ class CylinderPoint:
     t: float
 
     def __post_init__(self):
+        _check_finite("cylinder", self.x, self.y, self.t)
         rho2 = self.x * self.x + self.y * self.y
         if not rho2 < 1.0 - BOUNDARY_MARGIN:
             raise DomainError(
@@ -87,6 +93,7 @@ class HalfSpacePoint:
     t: float
 
     def __post_init__(self):
+        _check_finite("half-space", self.x, self.y, self.t)
         if not self.y > BOUNDARY_MARGIN:
             raise DomainError("half-space point needs y > %g, got y=%r" % (BOUNDARY_MARGIN, self.y))
 

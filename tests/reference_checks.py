@@ -60,6 +60,12 @@ the array forms ``isometries.apply_lift_array`` and
 the 3x3 cylinder metric assembled from scalar components, as
 ``models.metric_cylinder`` did before it read
 ``models.cylinder_metric_matrices``; the matrices must agree bit for bit.
+``reference_sampled_sup_shift`` builds its points through
+``reference_sup_shift_samples``, as a complex exponential of the random
+angles and with the boundary rings rebuilt on every call;
+``isometries.sampled_sup_shift``, which writes cosines and sines into one
+array and keeps the rings, must give the same points and the same
+``(sup, z)`` bit for bit.
 """
 
 import functools
@@ -73,7 +79,7 @@ from etau._kernels.mesh_numpy import _DEGEN_REL
 from etau.barriers import BoundaryCurve, _segments
 from etau.catenoid import CatenoidProfile, asymptotic_height
 from etau.errors import DomainError
-from etau.isometries import POSITIVE, arg_fprime, mobius_apply, mobius_derivative
+from etau.isometries import POSITIVE, arg_fprime, mobius_apply, mobius_derivative, t_shift
 from etau.models import BoundaryPoint, CylinderPoint, fiber_form
 from etau.numerics import QuadratureResult, ToleranceConfig, integrate
 
@@ -778,3 +784,29 @@ def reference_metric_cylinder(tau: float, x: float, y: float) -> np.ndarray:
     gyy = lam2 + b * b
     gxy = a * b
     return np.array([[gxx, gxy, a], [gxy, gyy, b], [a, b, 1.0]])
+
+
+def reference_sup_shift_samples(n_random: int, seed: int, ring_depths, ring_samples: int):
+    """Seeded uniform disk points, then one ring of radius ``1 - depth`` per depth."""
+    rng = np.random.default_rng(seed)
+    radii = np.sqrt(rng.uniform(0.0, 1.0, n_random))
+    angles = rng.uniform(0.0, 2.0 * math.pi, n_random)
+    pts = [radii * np.exp(1j * angles)]
+    for depth in ring_depths:
+        ang = np.linspace(0.0, 2.0 * math.pi, ring_samples, endpoint=False)
+        pts.append((1.0 - depth) * np.exp(1j * ang))
+    return np.concatenate(pts)
+
+
+def reference_sampled_sup_shift(
+    lift,
+    n_random: int = 10_000,
+    seed: int = 0,
+    ring_depths=(1e-3, 1e-6, 1e-9),
+    ring_samples: int = 2048,
+):
+    """Sampled sup of |t-shift| over the open disk -> (sup, argmax z)."""
+    zs = reference_sup_shift_samples(n_random, seed, ring_depths, ring_samples)
+    shifts = t_shift(lift, zs)
+    k = int(np.argmax(np.abs(shifts)))
+    return float(np.abs(shifts[k])), complex(zs[k])

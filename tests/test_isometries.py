@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from etau.errors import DomainError, UsageError
+from etau import isometries
 from etau.isometries import (
     NEGATIVE,
     POSITIVE,
@@ -43,6 +44,8 @@ from reference_checks import (
     reference_apply_lift,
     reference_lift_jacobian,
     reference_metric_cylinder,
+    reference_sampled_sup_shift,
+    reference_sup_shift_samples,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -282,6 +285,40 @@ def test_sampled_sup_is_deterministic():
     a = sampled_sup_shift(lift)
     b = sampled_sup_shift(lift)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "tau, distance, n_random, seed, ring_depths, ring_samples",
+    [
+        (0.3, 1.7, 10_000, 0, (1e-3, 1e-6, 1e-9), 2048),
+        (0.5, 4.0, 2000, 7, (1e-3, 1e-6, 1e-9), 512),
+        (1.2, 0.2, 500, 123456789, [1e-2], 64),
+        (0.1, 3.0, 0, 3, (1e-4, 1e-8), 100),
+        (0.7, 2.3, 1, 2**31 - 1, (), 2048),
+    ],
+)
+def test_sampled_sup_matches_reference_bit_for_bit(
+    tau, distance, n_random, seed, ring_depths, ring_samples
+):
+    lift = hyperbolic_translation(AmbientSpace(tau), distance)
+    got = isometries._sup_shift_samples(n_random, seed, ring_depths, ring_samples)
+    want = reference_sup_shift_samples(n_random, seed, ring_depths, ring_samples)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(float), want.view(float))
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+    args = dict(n_random=n_random, seed=seed, ring_depths=ring_depths, ring_samples=ring_samples)
+    assert sampled_sup_shift(lift, **args) == reference_sampled_sup_shift(lift, **args)
+    # a second call reads the cached rings and gives the same bits
+    again = isometries._sup_shift_samples(n_random, seed, ring_depths, ring_samples)
+    assert np.array_equal(again.view(float), got.view(float))
+
+
+def test_sampled_sup_rings_are_built_once_and_read_only():
+    rings = isometries._boundary_rings((1e-3, 1e-6), 256)
+    assert rings is isometries._boundary_rings((1e-3, 1e-6), 256)
+    assert not rings.flags.writeable
+    with pytest.raises(ValueError):
+        rings[0] = 0.0
 
 
 def test_lifted_isometry_rejects_bad_orientation():

@@ -38,6 +38,19 @@ def test_cylinder_point_must_be_inside_disk():
         CylinderPoint(0.8, 0.7, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_points_reject_non_finite_coordinates(index, bad):
+    cyl = [0.1, -0.2, 0.3]
+    cyl[index] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        CylinderPoint(*cyl)
+    half = [0.1, 1.5, 0.3]
+    half[index] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        HalfSpacePoint(*half)
+
+
 def test_halfspace_point_needs_positive_y():
     with pytest.raises(DomainError):
         HalfSpacePoint(0.0, 0.0, 0.0)
