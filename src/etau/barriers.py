@@ -14,7 +14,8 @@ angle ``pi``, joined by two vertical segments of extent ``h``.  The arcs
 carry the fiber shift ``-4 tau arctan(sin(theta) / (1 + cos(theta)))``
 inherited from the model-change map, which the half-angle identity
 collapses to ``-2 tau theta`` on ``(-pi, pi)``; the module computes with
-the collapsed form and exposes the raw one for testing the identity.
+the collapsed form only; the raw form is kept as a test oracle that
+checks the identity.
 
 ``delta_for_slab`` reproduces the slab-placement bookkeeping: given a
 vertical slab ``(t1, t2)`` thicker than ``pi sqrt(1 + 4 tau^2)``, any
@@ -39,7 +40,6 @@ __all__ = [
     "ANGULAR_RESOLUTION",
     "BoundaryCurve",
     "TallRectangleBoundary",
-    "raw_fiber_shift",
     "min_rectangle_height",
     "gamma_curves",
     "rectangle_boundary",
@@ -189,16 +189,6 @@ class TallRectangleBoundary:
             raise DomainError(
                 f"rectangle height {self.h!r} must exceed pi*sqrt(1+4 tau^2) = {floor!r}"
             )
-
-
-def raw_fiber_shift(tau: float, theta: float) -> float:
-    """Fiber coordinate of the arc point at parameter ``theta``, unreduced form.
-
-    This is the vertical correction of the model-change map evaluated
-    along the asymptotic boundary; by the half-angle identity it reduces
-    to ``-2 tau theta`` on ``(-pi, pi)``.
-    """
-    return -4.0 * tau * math.atan2(math.sin(theta), 1.0 + math.cos(theta))
 
 
 def gamma_curves(rect: TallRectangleBoundary, n: int) -> tuple[BoundaryCurve, BoundaryCurve]:

@@ -31,8 +31,11 @@ Heights are bounded: as ``s`` grows the height tends to a finite limit
 the tall threshold of the barriers and the curve classifier.  Past a
 radius threshold the truncated catenoid has more area than the two
 totally geodesic disks spanning the same pair of circles, which is the
-content of the two lemma-style bounds, each defined once at the bottom
-of the module.
+content of the two lemma-style bounds.  ``_upper_bound`` and
+``_lower_bound`` evaluate them (NaN where a precondition fails), only
+:func:`compare_areas` calls them, and the two verdicts are decided once,
+by :attr:`AreaComparison.upper_holds` and
+:attr:`AreaComparison.lower_holds`.
 """
 
 from __future__ import annotations
@@ -59,19 +62,14 @@ __all__ = [
     "TruncatedCatenoid",
     "AreaComparison",
     "CrossoverResult",
-    "neck_radius",
     "profile_height",
-    "product_profile_height",
     "asymptotic_height",
     "asymptotic_height_supremum",
     "neck_parameter_for_height",
     "truncation_radius",
-    "regularized_truncation",
     "annulus_area",
     "disk_area",
     "disk_area_closed_form",
-    "check_area_upper_bound",
-    "check_area_lower_bound",
     "compare_areas",
     "find_crossover",
     "connected_boundary_for_height",
@@ -143,12 +141,6 @@ def _converged_value(res: QuadratureResult, what: str) -> float:
             f"with error estimate {res.error_estimate:.3g}"
         )
     return res.value
-
-
-def neck_radius(d: float) -> float:
-    """Hyperbolic radius of the waist of the catenoid with parameter ``d``."""
-    _check_neck_parameter(d)
-    return math.asinh(d)
 
 
 def _height_integrand(tau: float, d: float):
@@ -274,18 +266,6 @@ def profile_height(profile: CatenoidProfile, s: float) -> float:
     return _converged_value(res, "profile height")
 
 
-def product_profile_height(d: float, s: float) -> float:
-    """Height of the tau = 0 catenoid profile, used for comparison bounds.
-
-    Satisfies the sandwich
-    ``(d / sqrt(1 + d^2)) * w(s) <= value <= w(s)`` with
-    ``w(s) = 2 arctan(tanh(s / 2))`` when evaluated at
-    ``s = rho(t)``-type radii.
-    """
-    flat = CatenoidProfile(AmbientSpace(0.0), d)
-    return profile_height(flat, s)
-
-
 @functools.lru_cache(maxsize=_HEIGHT_MEMO_SIZE)
 def _memo_asymptotic_height(tau: float, tol: ToleranceConfig, d: float) -> float:
     # lru_cache stores only returned values, so a QuadratureError is raised
@@ -354,28 +334,6 @@ def truncation_radius(d: float) -> float:
     return 1.5 * math.log(d)
 
 
-def truncation_is_admissible(d: float) -> bool:
-    """Whether the reference radius clears the neck so the truncation exists."""
-    return truncation_radius(d) > math.asinh(d)
-
-
-def regularized_truncation(d: float) -> float:
-    """Value ``s`` with ``rho(s) = truncation_radius(d)`` in the regular variable.
-
-    Only defined once the reference radius clears the neck (roughly
-    ``d > 4.2``); below that the truncated annulus is empty.
-    """
-    _check_neck_parameter(d)
-    d3 = d * d * d
-    arg = (d3 + 1.0) / (2.0 * math.sqrt(d3) * math.sqrt(d * d + 1.0))
-    if arg < 1.0:
-        raise DomainError(
-            f"reference radius {truncation_radius(d)!r} does not clear the neck "
-            f"{math.asinh(d)!r} at d = {d!r}"
-        )
-    return math.acosh(arg)
-
-
 def annulus_area(trunc: TruncatedCatenoid) -> float:
     """Area of the truncated catenoid (both halves) at radius ``R``."""
     d = trunc.profile.d
@@ -434,18 +392,13 @@ def disk_area_closed_form(amb: AmbientSpace, R: float) -> float:
 def _upper_bound(amb: AmbientSpace, d: float, R: float) -> float:
     """Catenoid area bound ``2 pi sqrt(1+4 tau^2) (sqrt(e^{2R} - 2 - 4d^2) + 1)``.
 
-    Needs ``R > arcsinh(d + 1)``, which also keeps the radicand positive.
+    NaN unless ``R > arcsinh(d + 1)``, which also keeps the radicand positive.
     """
     if R <= math.asinh(d + 1.0):
-        raise DomainError(
-            f"upper bound needs R > arcsinh(d + 1) = {math.asinh(d + 1.0)!r}, "
-            f"got R = {R!r}"
-        )
+        return math.nan
     radicand = math.exp(2.0 * R) - 2.0 - 4.0 * d * d
     if radicand <= 0.0:
-        raise DomainError(
-            f"upper bound radicand e^(2R) - 2 - 4 d^2 = {radicand!r} is not positive"
-        )
+        return math.nan
     root = math.sqrt(1.0 + 4.0 * amb.tau * amb.tau)
     return 2.0 * math.pi * root * (math.sqrt(radicand) + 1.0)
 
@@ -453,82 +406,21 @@ def _upper_bound(amb: AmbientSpace, d: float, R: float) -> float:
 def _lower_bound(amb: AmbientSpace, d: float) -> float:
     """Disk-pair area bound ``2 pi sqrt(1+4 tau^2) (sqrt(d^3 - 4) - sqrt(d))``.
 
-    Needs ``d^3 > 4``.
+    NaN unless ``d^3 > 4``.
     """
     if d * d * d <= 4.0:
-        raise DomainError(f"lower bound needs d^3 > 4, got d = {d!r}")
+        return math.nan
     root = math.sqrt(1.0 + 4.0 * amb.tau * amb.tau)
     return 2.0 * math.pi * root * (math.sqrt(d * d * d - 4.0) - math.sqrt(d))
 
 
 @dataclass(frozen=True)
-class BoundCheck:
-    """One lemma-style inequality evaluated at concrete parameters."""
-
-    d: float
-    R: float
-    area: float
-    bound: float
-    holds: bool
-
-
-def check_area_upper_bound(amb: AmbientSpace, d: float, R: float) -> BoundCheck:
-    """Catenoid area against ``2 pi sqrt(1+4 tau^2) (sqrt(e^{2R} - 2 - 4d^2) + 1)``.
-
-    Requires ``R > arcsinh(d + 1)``, which also keeps the radicand positive.
-    """
-    bound = _upper_bound(amb, d, R)
-    area = annulus_area(TruncatedCatenoid(CatenoidProfile(amb, d), R))
-    return BoundCheck(d=d, R=R, area=area, bound=bound, holds=area < bound)
-
-
-@dataclass(frozen=True)
-class LowerBoundCheck:
-    """Disk-pair area against its lemma bound, with the explicit constants."""
-
-    d: float
-    R: float
-    area: float
-    bound: float
-    holds: bool
-    c1: float
-    c2: float
-    sufficient_condition_holds: bool
-
-
-def check_area_lower_bound(amb: AmbientSpace, d: float) -> LowerBoundCheck:
-    """Disk-pair area at ``R(d)`` against ``2 pi sqrt(1+4 tau^2)(sqrt(d^3-4) - sqrt(d))``.
-
-    Requires ``d^3 > 4``.  Also reports the constants ``c1``, ``c2`` and
-    whether the sufficient condition ``3 c1 log(d) + 2 c2 < sqrt(d)`` holds;
-    the inequality itself is checked directly against the computed area.
-    """
-    bound = _lower_bound(amb, d)
-    R = truncation_radius(d)
-    area = 2.0 * disk_area_closed_form(amb, R)
-    tau = amb.tau
-    t2 = 4.0 * tau * tau
-    root = math.sqrt(1.0 + t2)
-    c1 = t2 / (1.0 + t2)
-    c2 = 2.0 / root + (2.0 * t2 / (1.0 + t2)) * math.log(
-        math.sqrt(2.0) * root / (1.0 + root)
-    )
-    sufficient = 3.0 * c1 * math.log(d) + 2.0 * c2 < math.sqrt(d)
-    return LowerBoundCheck(
-        d=d,
-        R=R,
-        area=area,
-        bound=bound,
-        holds=area > bound,
-        c1=c1,
-        c2=c2,
-        sufficient_condition_holds=sufficient,
-    )
-
-
-@dataclass(frozen=True)
 class AreaComparison:
-    """Truncated catenoid versus the two disks spanning the same circles."""
+    """Truncated catenoid versus the two disks spanning the same circles.
+
+    The one place that decides the two lemma inequalities: each verdict is
+    false where the row is infeasible or its bound is NaN.
+    """
 
     d: float
     R: float
@@ -543,6 +435,20 @@ class AreaComparison:
     def connected_wins(self) -> bool:
         """Whether the connected competitor (the catenoid) has smaller area."""
         return self.feasible and not self.disks_win
+
+    @property
+    def upper_holds(self) -> bool:
+        """Whether the catenoid area lies strictly below the upper lemma bound."""
+        return self.feasible and math.isfinite(self.upper_bound) and (
+            self.area_catenoid < self.upper_bound
+        )
+
+    @property
+    def lower_holds(self) -> bool:
+        """Whether the disk-pair area lies strictly above the lower lemma bound."""
+        return self.feasible and math.isfinite(self.lower_bound) and (
+            self.area_two_disks > self.lower_bound
+        )
 
 
 def compare_areas(amb: AmbientSpace, d: float, R: float) -> AreaComparison:
@@ -564,21 +470,13 @@ def compare_areas(amb: AmbientSpace, d: float, R: float) -> AreaComparison:
         )
     cat = annulus_area(TruncatedCatenoid(profile, R))
     disks = 2.0 * disk_area_closed_form(amb, R)
-    try:
-        upper = _upper_bound(amb, d, R)
-    except DomainError:
-        upper = math.nan
-    try:
-        lower = _lower_bound(amb, d)
-    except DomainError:
-        lower = math.nan
     return AreaComparison(
         d=d,
         R=R,
         area_catenoid=cat,
         area_two_disks=disks,
-        upper_bound=upper,
-        lower_bound=lower,
+        upper_bound=_upper_bound(amb, d, R),
+        lower_bound=_lower_bound(amb, d),
         feasible=True,
         disks_win=disks < cat,
     )

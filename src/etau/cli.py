@@ -177,12 +177,6 @@ def _lemma_row(amb: AmbientSpace, sup: float, comp: catenoid.AreaComparison):
         u = catenoid.profile_height(catenoid.CatenoidProfile(amb, comp.d), comp.R)
     else:
         u = math.nan
-    upper_holds = comp.feasible and math.isfinite(comp.upper_bound) and (
-        comp.area_catenoid < comp.upper_bound
-    )
-    lower_holds = comp.feasible and math.isfinite(comp.lower_bound) and (
-        comp.area_two_disks > comp.lower_bound
-    )
     return (
         comp.d,
         comp.R,
@@ -191,8 +185,8 @@ def _lemma_row(amb: AmbientSpace, sup: float, comp: catenoid.AreaComparison):
         comp.area_two_disks,
         comp.upper_bound,
         comp.lower_bound,
-        upper_holds,
-        lower_holds,
+        comp.upper_holds,
+        comp.lower_holds,
         comp.disks_win,
         u,
         sup - u,

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "UsageError", "QuadratureError"]
+
 
 class DomainError(ValueError):
     """Input lies outside the mathematical domain of the operation."""

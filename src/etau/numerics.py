@@ -29,6 +29,14 @@ from dataclasses import dataclass
 
 from .errors import DomainError, UsageError
 
+__all__ = [
+    "EVALS_PER_PANEL",
+    "ToleranceConfig",
+    "QuadratureResult",
+    "integrate",
+    "bisect_monotone",
+]
+
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1] (positive half; symmetric).
 _XGK = (
     0.991455371120812639206854697526329,

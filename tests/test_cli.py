@@ -240,10 +240,16 @@ def test_isometry_bound(tmp_path, capsys):
     assert out_path.read_bytes() == first
 
 
-def test_isometry_bound_bad_magnitudes(capsys):
-    rc, _, err = run(capsys, "isometry-bound", "--magnitudes", "1.5")
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--magnitudes", "1.5"), ("--samples", "-5"), ("--seed", "-1")],
+    ids=["magnitudes", "samples", "seed"],
+)
+def test_isometry_bound_bad_magnitudes(capsys, flag, value):
+    rc, out, err = run(capsys, "isometry-bound", flag, value)
     assert rc == 2
-    assert "error:" in err
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_classify_file_roundtrip(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,8 @@
-"""Every name that a module of ``etau`` lists in ``__all__`` resolves.
+"""Every public module of ``etau`` declares ``__all__``, and every entry resolves.
 
 A stale entry, left behind when a name is deleted, otherwise fails only at
-a user's ``from module import *``.
+a user's ``from module import *``.  A module is public when no part of its
+dotted name after ``etau`` starts with an underscore.
 """
 
 import importlib
@@ -12,10 +13,13 @@ import pytest
 import etau
 
 MODULES = ["etau"] + sorted(m.name for m in pkgutil.walk_packages(etau.__path__, "etau."))
+PUBLIC = [m for m in MODULES[1:] if not any(p.startswith("_") for p in m.split(".")[1:])]
 
 
 def test_every_module_is_covered():
     assert {"etau._kernels", "etau._kernels.mesh_numpy", "etau.plateau"} <= set(MODULES)
+    assert {"etau.numerics", "etau.errors", "etau.catenoid", "etau.cli"} <= set(PUBLIC)
+    assert "etau._csvio" not in PUBLIC and "etau._kernels.mesh_numpy" not in PUBLIC
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -24,3 +28,8 @@ def test_all_entries_resolve(name):
     missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
     assert missing == []
     exec(f"from {name} import *", {})
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_public_module_declares_all(name):
+    assert isinstance(importlib.import_module(name).__all__, list)

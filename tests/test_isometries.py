@@ -313,6 +313,22 @@ def test_sampled_sup_matches_reference_bit_for_bit(
     assert np.array_equal(again.view(float), got.view(float))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        dict(n_random=-1),
+        dict(seed=-1),
+        dict(ring_samples=-1),
+        dict(n_random=0, ring_samples=0),
+        dict(n_random=0, ring_depths=()),
+    ],
+)
+def test_sampled_sup_rejects_negative_counts_and_empty_samples(args):
+    lift = hyperbolic_translation(AmbientSpace(0.3), 1.7)
+    with pytest.raises(DomainError):
+        sampled_sup_shift(lift, **args)
+
+
 def test_sampled_sup_rings_are_built_once_and_read_only():
     rings = isometries._boundary_rings((1e-3, 1e-6), 256)
     assert rings is isometries._boundary_rings((1e-3, 1e-6), 256)
