@@ -1,12 +1,10 @@
 """Asymptotic boundary data for barrier surfaces on the cylinder at infinity.
 
-Every sampled curve is a :class:`BoundaryCurve`, stored as two read-only
-arrays: angles in ``[0, 2 pi)`` and heights.  The builders here (circles,
-arcs, rectangle loops, translations and rotations) and the readers in
-:mod:`etau.curves` and :mod:`etau.cli` work on these arrays as wholes;
-:meth:`BoundaryCurve.from_arrays` is the constructor for array input, and
-``BoundaryCurve.samples`` makes the per-sample ``BoundaryPoint`` tuple only
-when it is first read.
+Every sampled curve is a :class:`BoundaryCurve`, built from and stored as
+two read-only arrays: angles in ``[0, 2 pi)`` and heights.  The builders
+here (circles, arcs, rectangle loops, translations and rotations) and the
+readers in :mod:`etau.curves` and :mod:`etau.cli` work on these arrays as
+wholes; no per-sample point type exists.
 
 A tall rectangle is bounded at infinity by two helical-looking arcs
 ``gamma0``, ``gamma1`` over an angular window of width ``2 r`` around the
@@ -27,14 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .catenoid import CatenoidProfile, asymptotic_height, asymptotic_height_supremum
 from .errors import DomainError, UsageError
-from .models import AmbientSpace, BoundaryPoint
+from .models import AmbientSpace
 
 __all__ = [
     "ANGULAR_RESOLUTION",
@@ -68,30 +65,17 @@ class BoundaryCurve:
     detection sees every transversal passage.  A closed curve wraps from
     its last sample back to its first without a stored duplicate.
 
-    The curve is stored as two read-only arrays, angles in ``[0, 2 pi)``
-    and heights.  :meth:`from_arrays` builds it from arrays; the
-    constructor takes :class:`BoundaryPoint` samples and unpacks them into
-    the same path.  ``samples``, the points again, is built on first
-    access only.  Equality compares ``closed`` and the arrays.
+    ``BoundaryCurve(theta, t, closed)`` is the curve through the samples
+    ``(theta[i], t[i])``; the inputs are copied into two read-only arrays,
+    the angles normalized into ``[0, 2 pi)``.  Equality compares ``closed``
+    and the arrays.
     """
 
     closed: bool
     _theta: np.ndarray = field(repr=False)
     _t: np.ndarray = field(repr=False)
 
-    def __init__(self, samples: Iterable[BoundaryPoint], closed: bool) -> None:
-        pts = tuple(samples)
-        self._store([p.theta for p in pts], [p.t for p in pts], closed)
-
-    @classmethod
-    def from_arrays(cls, theta, t, closed: bool) -> "BoundaryCurve":
-        """Curve through the samples ``(theta[i], t[i])``; the inputs are copied."""
-        curve = cls.__new__(cls)
-        curve._store(theta, t, closed)
-        return curve
-
-    def _store(self, theta, t, closed: bool) -> None:
-        # the one validation path: BoundaryPoint's checks, on whole arrays
+    def __init__(self, theta, t, closed: bool) -> None:
         theta = np.array(theta, dtype=float)
         t = np.array(t, dtype=float)
         if theta.ndim != 1 or theta.shape != t.shape:
@@ -123,13 +107,6 @@ class BoundaryCurve:
         object.__setattr__(self, "_theta", theta)
         object.__setattr__(self, "_t", t)
 
-    @cached_property
-    def samples(self) -> tuple[BoundaryPoint, ...]:
-        """The samples as points, built on first access and kept."""
-        return tuple(
-            BoundaryPoint(th, t) for th, t in zip(self._theta.tolist(), self._t.tolist())
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BoundaryCurve):
             return NotImplemented
@@ -152,10 +129,10 @@ class BoundaryCurve:
         return self._t
 
     def translated(self, dt: float) -> "BoundaryCurve":
-        return BoundaryCurve.from_arrays(self._theta, self._t + dt, self.closed)
+        return BoundaryCurve(self._theta, self._t + dt, self.closed)
 
     def rotated(self, alpha: float) -> "BoundaryCurve":
-        return BoundaryCurve.from_arrays(self._theta + alpha, self._t, self.closed)
+        return BoundaryCurve(self._theta + alpha, self._t, self.closed)
 
 
 def min_rectangle_height(amb: AmbientSpace) -> float:
@@ -205,7 +182,7 @@ def gamma_curves(rect: TallRectangleBoundary, n: int) -> tuple[BoundaryCurve, Bo
         raise UsageError(f"need at least 2 samples per arc, got {n!r}")
     tau = rect.amb.tau
     thetas = np.linspace(-rect.r, rect.r, n)
-    lower = BoundaryCurve.from_arrays(
+    lower = BoundaryCurve(
         math.pi + thetas + rect.rotation,
         -2.0 * tau * thetas + rect.vertical_offset,
         closed=False,
@@ -224,7 +201,7 @@ def rectangle_boundary(rect: TallRectangleBoundary, n: int) -> BoundaryCurve:
     right, left = np.full(n_side - 1, theta[-1]), np.full(n_side - 1, theta[0])
     up = np.linspace(lower[-1], upper[-1], n_side)[:-1]
     down = np.linspace(upper[0], lower[0], n_side)[:-1]
-    loop = BoundaryCurve.from_arrays(
+    loop = BoundaryCurve(
         np.concatenate((theta[:-1], right, theta[:0:-1], left)),
         np.concatenate((lower[:-1], up, upper[:0:-1], down)),
         closed=True,
@@ -454,7 +431,7 @@ def horizontal_circle(t: float, n: int = 720) -> BoundaryCurve:
     if n < 3:
         raise UsageError(f"need at least 3 samples on a circle, got {n!r}")
     step = 2.0 * math.pi / n
-    return BoundaryCurve.from_arrays(np.arange(n) * step, np.full(n, t), closed=True)
+    return BoundaryCurve(np.arange(n) * step, np.full(n, t), closed=True)
 
 
 def catenoid_asymptotic_circles(

@@ -16,8 +16,10 @@ Subcommands:
 * ``rectangle``: slab placement width and a rectangle boundary CSV.
 
 All output is deterministic: identical invocations write byte-identical
-files.  A ``--config`` file supplies ``key=value`` defaults for any
-long option of the chosen subcommand.  ``--abs-tol`` and ``--rel-tol``
+files.  Each subcommand writes its files before it prints, so one that
+fails (exit status 2) prints nothing to stdout.  A ``--config`` file
+supplies ``key=value`` defaults for any long option of the chosen
+subcommand.  ``--abs-tol`` and ``--rel-tol``
 set the quadrature tolerances, and only the subcommands that integrate
 (``catenoid-height``, ``lemmas`` and ``plateau --height``) take them.
 """
@@ -245,16 +247,18 @@ def cmd_classify(args) -> int:
     amb = AmbientSpace(args.tau)
     comps = _csvio.read_curve_components(args.curve_file)
     curve = curves.AsymptoticCurve(
-        barriers.BoundaryCurve.from_arrays(ths, ts, closed=True) for ths, ts in comps
+        barriers.BoundaryCurve(ths, ts, closed=True) for ths, ts in comps
     )
     result = curves.classify(amb, curve, n=args.grid)
-    print(f"verdict = {result.verdict.value}")
-    print(f"tall_threshold = {result.tall_threshold!r}")
-    print(f"nonexistence_threshold = {result.nonexistence_threshold!r}")
-    print(f"footprint_min_height = {result.footprint_min_height!r}")
-    print(f"global_min_height = {result.global_min_height!r}")
+    lines = [
+        f"verdict = {result.verdict.value}",
+        f"tall_threshold = {result.tall_threshold!r}",
+        f"nonexistence_threshold = {result.nonexistence_threshold!r}",
+        f"footprint_min_height = {result.footprint_min_height!r}",
+        f"global_min_height = {result.global_min_height!r}",
+    ]
     if result.witness is not None:
-        print(f"witness = {result.witness!r}")
+        lines.append(f"witness = {result.witness!r}")
     if args.output:
         profile = result.profile
         rows = [
@@ -264,7 +268,8 @@ def cmd_classify(args) -> int:
         _csvio.write_table(
             args.output, "height-profile", 2, ("angle", "height", "crossings"), rows
         )
-        print(f"rows = {len(rows)} -> {args.output}")
+        lines.append(f"rows = {len(rows)} -> {args.output}")
+    print("\n".join(lines))
     return 0
 
 
@@ -285,6 +290,8 @@ def cmd_plateau(args) -> int:
         opt, rep = plateau.minimize(amb, mesh, cfg, vertical=True)
         closed = catenoid.disk_area_closed_form(amb, args.disk)
         rel = abs(rep.final_area - closed) / closed
+        if args.off_prefix:
+            plateau.export_off(opt, f"{args.off_prefix}_disk.off")
         _csvio.write_table(
             args.output,
             "plateau-disk",
@@ -312,8 +319,6 @@ def cmd_plateau(args) -> int:
         )
         print(f"disk R = {args.disk!r}: optimized = {rep.final_area!r}")
         print(f"closed form = {closed!r} (rel error {rel!r})")
-        if args.off_prefix:
-            plateau.export_off(opt, f"{args.off_prefix}_disk.off")
         print(f"rows = 1 -> {args.output}")
         return 0
     comp = plateau.compare_connected_vs_disks(
@@ -324,6 +329,9 @@ def cmd_plateau(args) -> int:
         n_rows=args.mesh_rows,
         n_r=args.mesh_rings,
     )
+    if args.off_prefix:
+        plateau.export_off(comp.annulus_mesh, f"{args.off_prefix}_annulus.off")
+        plateau.export_off(comp.disks_mesh, f"{args.off_prefix}_disks.off")
     _csvio.write_table(
         args.output,
         "plateau-compare",
@@ -365,35 +373,28 @@ def cmd_plateau(args) -> int:
         f"optimized disks = {comp.optimized_disks_area!r}"
     )
     print(f"connected_wins = {str(comp.connected_wins).lower()}")
-    if args.off_prefix:
-        plateau.export_off(comp.annulus_mesh, f"{args.off_prefix}_annulus.off")
-        plateau.export_off(comp.disks_mesh, f"{args.off_prefix}_disks.off")
     print(f"rows = 1 -> {args.output}")
     return 0
 
 
 def cmd_rectangle(args) -> int:
     amb = AmbientSpace(args.tau)
-    delta = barriers.delta_for_slab(amb, args.t1, args.t2)
-    print(f"tau = {amb.tau!r}")
-    print(f"slab = ({args.t1!r}, {args.t2!r})")
-    print(f"delta = {delta!r}")
     if (args.theta1 is None) != (args.theta2 is None):
         raise UsageError("give both --theta1 and --theta2, or neither")
-    if args.theta1 is None:
-        return 0
-    rect = barriers.place_rectangle(amb, args.theta1, args.theta2, args.t1, args.t2)
-    loop = barriers.rectangle_boundary(rect, args.samples)
-    _csvio.write_curve_components(
-        args.output, [(loop.theta_array(), loop.t_array())]
-    )
-    contained = barriers.containment_sweep(
-        rect, args.theta1, args.theta2, args.t1, args.t2
-    )
-    print(f"h = {rect.h!r}, r = {rect.r!r}")
-    print(f"rotation = {rect.rotation!r}, vertical_offset = {rect.vertical_offset!r}")
-    print(f"containment = {str(contained).lower()}")
-    print(f"samples = {len(loop.theta_array())} -> {args.output}")
+    delta = barriers.delta_for_slab(amb, args.t1, args.t2)
+    lines = [f"tau = {amb.tau!r}", f"slab = ({args.t1!r}, {args.t2!r})", f"delta = {delta!r}"]
+    if args.theta1 is not None:
+        rect = barriers.place_rectangle(amb, args.theta1, args.theta2, args.t1, args.t2)
+        loop = barriers.rectangle_boundary(rect, args.samples)
+        _csvio.write_curve_components(args.output, [(loop.theta_array(), loop.t_array())])
+        contained = barriers.containment_sweep(rect, args.theta1, args.theta2, args.t1, args.t2)
+        lines += [
+            f"h = {rect.h!r}, r = {rect.r!r}",
+            f"rotation = {rect.rotation!r}, vertical_offset = {rect.vertical_offset!r}",
+            f"containment = {str(contained).lower()}",
+            f"samples = {len(loop.theta_array())} -> {args.output}",
+        ]
+    print("\n".join(lines))
     return 0
 
 

@@ -10,8 +10,9 @@ thresholds ``sqrt(1+4 tau^2) pi`` (tall) and ``(sqrt(1+4 tau^2)-4 tau) pi``
 
 Each loop is a ``barriers.BoundaryCurve``, whose angle and height arrays
 are all that this module reads; :func:`parallel_circles` and
-:func:`graph_curve` build their loops from arrays with
-``BoundaryCurve.from_arrays``, so no ``BoundaryPoint`` is made.
+:func:`graph_curve` build their loops from arrays, and
+:func:`radial_projection` returns each projected loop as one ``(k, 3)``
+array, the form the minimizer in :mod:`etau.plateau` takes.
 Construction checks that every loop is simple (``barriers.is_simple``)
 and that no two loops come within ``1e-6`` of each other on samples.
 Both checks draw their candidate pairs from an angular window, so they
@@ -47,7 +48,7 @@ from .barriers import (
     min_rectangle_height,
 )
 from .errors import DomainError, UsageError
-from .models import AmbientSpace, CylinderPoint
+from .models import BOUNDARY_MARGIN, AmbientSpace
 
 __all__ = [
     "AsymptoticCurve",
@@ -421,14 +422,13 @@ def classify(amb: AmbientSpace, curve: AsymptoticCurve, n: int = 720) -> Classif
     )
 
 
-def radial_projection(
-    curve: AsymptoticCurve, n: float, T: float
-) -> list[list[CylinderPoint]]:
+def radial_projection(curve: AsymptoticCurve, n: float, T: float) -> list[np.ndarray]:
     """Project each loop onto the lateral face of the finite cylinder.
 
     The cylinder has euclidean radius ``tanh(n)``; the curve must stay
-    inside the slab ``|t| < T``.  Output loops serve as fixed boundary
-    data for the discrete minimizer.
+    inside the slab ``|t| < T``.  Each loop comes out as one ``(k, 3)``
+    array of rows ``(x, y, t)``, fixed boundary data for the discrete
+    minimizer.
     """
     if not (n > 0.0) or not (T > 0.0):
         raise DomainError("cylinder index and slab half-height must be positive")
@@ -438,12 +438,13 @@ def radial_projection(
             f"curve t-range [{lo!r}, {hi!r}] exits the open slab (-{T!r}, {T!r})"
         )
     radius = math.tanh(n)
+    if not radius * radius < 1.0 - BOUNDARY_MARGIN:
+        raise DomainError(f"cylinder radius tanh({n!r}) rounds onto the unit circle")
     return [
-        [
-            CylinderPoint(radius * math.cos(th), radius * math.sin(th), t)
-            for th, t in zip(comp.theta_array().tolist(), comp.t_array().tolist())
-        ]
-        for comp in curve.components
+        np.column_stack(
+            (radius * np.cos(c.theta_array()), radius * np.sin(c.theta_array()), c.t_array())
+        )
+        for c in curve.components
     ]
 
 
@@ -465,4 +466,4 @@ def graph_curve(fn: Callable[[float], float], n: int = 720) -> AsymptoticCurve:
         raise UsageError(f"need at least 8 samples, got {n!r}")
     theta = np.arange(n) * (2.0 * math.pi / n)
     t = [float(fn(th)) for th in theta.tolist()]
-    return AsymptoticCurve([BoundaryCurve.from_arrays(theta, t, closed=True)])
+    return AsymptoticCurve([BoundaryCurve(theta, t, closed=True)])

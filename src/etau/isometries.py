@@ -331,12 +331,16 @@ def sampled_sup_shift(
     Combines seeded uniform samples with rings hugging the boundary, where
     the extremes of arg f' live; the rings are built once per
     ``(ring_depths, ring_samples)``.  Deterministic for fixed arguments.
-    ``n_random``, ``seed`` and ``ring_samples`` must be nonnegative, and
-    there must be at least one sample.
+    ``n_random``, ``seed`` and ``ring_samples`` must be nonnegative, every
+    ring depth must lie in ``(0, 1]`` so that its ring lies in the open
+    disk, and there must be at least one sample.
     """
     for name, value in (("n_random", n_random), ("seed", seed), ("ring_samples", ring_samples)):
         if value < 0:
             raise DomainError(f"{name} must be nonnegative, got {value!r}")
+    for depth in ring_depths:
+        if not 0.0 < depth <= 1.0:
+            raise DomainError(f"ring depth must lie in (0, 1], got {depth!r}")
     zs = _sup_shift_samples(n_random, seed, ring_depths, ring_samples)
     if zs.size == 0:
         raise DomainError("the sup shift needs at least one sample point")

@@ -12,6 +12,9 @@ Half-space model: {y > 0} x R with
 Both are Riemannian metrics on 3-dimensional total spaces fibering over the
 hyperbolic plane; tau is the bundle curvature parameter (tau = 0 gives the
 metric product H^2 x R).
+
+Points are :class:`CylinderPoint` and :class:`HalfSpacePoint`; a metric
+value is a plain 3x3 array, or a stack of them for arrays of points.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .errors import DomainError, UsageError
 from .numerics import ToleranceConfig
 
 __all__ = [
-    "BOUNDARY_MARGIN", "AmbientSpace", "CylinderPoint", "HalfSpacePoint", "BoundaryPoint",
-    "MetricTensor", "fiber_form", "conformal_factor", "cylinder_metric_matrices",
+    "BOUNDARY_MARGIN", "AmbientSpace", "CylinderPoint", "HalfSpacePoint",
+    "fiber_form", "conformal_factor", "cylinder_metric_matrices",
     "metric_cylinder", "metric_halfspace", "to_disk_model", "to_halfspace_model",
     "to_disk_jacobian", "pullback_metric", "PatchAreaResult", "patch_area",
 ]
@@ -105,45 +108,6 @@ class HalfSpacePoint:
         return np.array([self.x, self.y, self.t], dtype=float)
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Point (theta, t) of the asymptotic boundary cylinder S^1 x R.
-
-    theta is normalized into [0, 2 pi).
-    """
-
-    theta: float
-    t: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.t)):
-            raise UsageError("boundary point coordinates must be finite")
-        theta = self.theta % (2.0 * math.pi)
-        # the remainder of a tiny negative angle rounds up to 2 pi itself
-        object.__setattr__(self, "theta", 0.0 if theta == 2.0 * math.pi else theta)
-
-
-class MetricTensor:
-    """Symmetric positive definite 3x3 matrix attached to a base point."""
-
-    __slots__ = ("matrix", "base")
-
-    def __init__(self, matrix: np.ndarray, base):
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise UsageError("metric must be 3x3, got %s" % (m.shape,))
-        if not np.all(np.abs(m - m.T) <= 1e-14 * max(1.0, float(np.abs(m).max()))):
-            raise UsageError("metric matrix is not symmetric")
-        # Sylvester criterion on leading minors
-        if not (m[0, 0] > 0 and np.linalg.det(m[:2, :2]) > 0 and np.linalg.det(m) > 0):
-            raise UsageError("metric matrix is not positive definite")
-        self.matrix = m
-        self.base = base
-
-    def __repr__(self):
-        return "MetricTensor(base=%r)" % (self.base,)
-
-
 def fiber_form(tau, x, y):
     """Conformal factor and fiber 1-form coefficients at (x, y); array friendly.
 
@@ -175,26 +139,25 @@ def cylinder_metric_matrices(tau, x, y) -> np.ndarray:
     return g.reshape(np.shape(lam) + (3, 3))
 
 
-def metric_cylinder(amb: AmbientSpace, p: CylinderPoint) -> MetricTensor:
-    """Metric tensor of the cylinder model at p."""
-    return MetricTensor(cylinder_metric_matrices(amb.tau, p.x, p.y), p)
+def metric_cylinder(amb: AmbientSpace, p: CylinderPoint) -> np.ndarray:
+    """Cylinder-model metric at p as a 3x3 array."""
+    return cylinder_metric_matrices(amb.tau, p.x, p.y)
 
 
-def metric_halfspace(amb: AmbientSpace, p: HalfSpacePoint) -> MetricTensor:
-    """Metric tensor of the half-space model at p."""
+def metric_halfspace(amb: AmbientSpace, p: HalfSpacePoint) -> np.ndarray:
+    """Half-space-model metric at p as a 3x3 array."""
     tau = amb.tau
     y = p.y
     inv_y2 = 1.0 / (y * y)
     # omega = -(2 tau / y) dx + dt
     c = -2.0 * tau / y
-    m = np.array(
+    return np.array(
         [
             [inv_y2 + c * c, 0.0, c],
             [0.0, inv_y2, 0.0],
             [c, 0.0, 1.0],
         ]
     )
-    return MetricTensor(m, p)
 
 
 def _phi(z: complex) -> complex:
@@ -244,10 +207,9 @@ def to_disk_jacobian(amb: AmbientSpace, p: HalfSpacePoint) -> np.ndarray:
 
 
 def pullback_metric(g_image, jacobian: np.ndarray) -> np.ndarray:
-    """J^T G J for one 3x3 G (or MetricTensor) and J, or for stacks of shape (..., 3, 3)."""
-    gm = g_image.matrix if isinstance(g_image, MetricTensor) else np.asarray(g_image, dtype=float)
+    """J^T G J for one 3x3 array G and J, or for stacks of shape (..., 3, 3)."""
     j = np.asarray(jacobian, dtype=float)
-    return np.swapaxes(j, -1, -2) @ gm @ j
+    return np.swapaxes(j, -1, -2) @ np.asarray(g_image, dtype=float) @ j
 
 
 @dataclass(frozen=True)

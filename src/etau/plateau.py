@@ -55,7 +55,7 @@ from .catenoid import (
     disk_area_closed_form,
 )
 from .errors import DomainError, UsageError
-from .models import AmbientSpace, CylinderPoint
+from .models import AmbientSpace
 
 __all__ = [
     "DISK_BARRIER",
@@ -110,14 +110,7 @@ _STALL_REL = 5e-8
 
 
 def _loop_array(loop) -> np.ndarray:
-    if isinstance(loop, np.ndarray):
-        arr = np.asarray(loop, dtype=np.float64)
-    else:
-        pts = list(loop)
-        if pts and isinstance(pts[0], CylinderPoint):
-            arr = np.array([[p.x, p.y, p.t] for p in pts], dtype=np.float64)
-        else:
-            arr = np.asarray(pts, dtype=np.float64)
+    arr = np.asarray(loop, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3 or len(arr) < 3:
         raise DomainError("boundary loop must be an (n, 3) array with n >= 3")
     return arr

@@ -10,7 +10,6 @@ import numpy as np
 from etau import _kernels
 from etau.barriers import BoundaryCurve
 from etau.isometries import MobiusIsometry
-from etau.models import BoundaryPoint
 
 
 def fd_jacobian(fn, p, h=1e-7):
@@ -43,16 +42,18 @@ def fd_mesh_gradient(area_fn, vertices, indices, h=1e-6):
 
 def dense_polyline(corners, closed, step=0.008):
     """Interpolate corner-to-corner with angular steps below one degree."""
-    pts = []
+    theta, t = [], []
     loop = list(corners) + ([corners[0]] if closed else [])
     for (a0, t0), (a1, t1) in zip(loop, loop[1:]):
         n = max(2, int(abs(a1 - a0) / step) + 2)
         for k in range(n - 1):
             f = k / (n - 1)
-            pts.append(BoundaryPoint(a0 + f * (a1 - a0), t0 + f * (t1 - t0)))
+            theta.append(a0 + f * (a1 - a0))
+            t.append(t0 + f * (t1 - t0))
     if not closed:
-        pts.append(BoundaryPoint(*corners[-1]))
-    return BoundaryCurve(pts, closed)
+        theta.append(corners[-1][0])
+        t.append(corners[-1][1])
+    return BoundaryCurve(theta, t, closed)
 
 
 def same_bits(a, b):

@@ -10,9 +10,11 @@ same booleans.  The per-point builders ``reference_horizontal_circle``,
 ``reference_gamma_curves``, ``reference_rectangle_boundary``,
 ``reference_graph_curve`` (and the compositions
 ``reference_parallel_circles`` and
-``reference_catenoid_asymptotic_circles``) make one ``BoundaryPoint``
-per sample, as the library did before it built curves from arrays;
-the array builders must give the same arrays bit for bit, and
+``reference_catenoid_asymptotic_circles``) compute each sample's angle
+and height on its own in Python floats, wrap the angle into
+``[0, 2 pi)`` themselves and only then hand the lists to
+``BoundaryCurve``, as the library did before it built curves from
+arrays; the array builders must give the same arrays bit for bit, and
 ``reference_containment_sweep`` the same verdicts.  ``reference_bisect`` is the plain bisection that
 ``numerics.bisect_monotone`` replaced with the ITP method.
 ``reference_crossings`` is the per-angle crossing search that the sweep
@@ -98,7 +100,7 @@ from etau.catenoid import (
 )
 from etau.errors import DomainError
 from etau.isometries import POSITIVE, arg_fprime, mobius_apply, mobius_derivative, t_shift
-from etau.models import BoundaryPoint, CylinderPoint, fiber_form
+from etau.models import CylinderPoint, fiber_form
 from etau.numerics import QuadratureResult, ToleranceConfig, integrate
 
 
@@ -155,31 +157,46 @@ def reference_is_simple(curve: BoundaryCurve, tol: float = 1e-12, block: int = 5
     return True
 
 
+def _angle(theta: float) -> float:
+    # one sample's angle wrapped into [0, 2 pi); the remainder of a tiny
+    # negative angle rounds up to 2 pi itself, which stands for 0
+    theta = theta % (2.0 * math.pi)
+    return 0.0 if theta == 2.0 * math.pi else theta
+
+
+def _curve(samples, closed: bool) -> BoundaryCurve:
+    # the curve through per-sample (theta, t) pairs, each angle wrapped here
+    pts = [(_angle(th), t) for th, t in samples]
+    return BoundaryCurve([th for th, _ in pts], [t for _, t in pts], closed)
+
+
+def _samples(curve: BoundaryCurve) -> list[tuple[float, float]]:
+    return list(zip(curve.theta_array().tolist(), curve.t_array().tolist()))
+
+
 def reference_horizontal_circle(t: float, n: int = 720) -> BoundaryCurve:
-    """``barriers.horizontal_circle`` built one point at a time."""
+    """``barriers.horizontal_circle`` built one sample at a time."""
     step = 2.0 * math.pi / n
-    return BoundaryCurve((BoundaryPoint(k * step, t) for k in range(n)), closed=True)
+    return _curve(((k * step, t) for k in range(n)), closed=True)
 
 
 def reference_translated(curve: BoundaryCurve, dt: float) -> BoundaryCurve:
-    """``BoundaryCurve.translated`` built one point at a time."""
-    return BoundaryCurve((BoundaryPoint(p.theta, p.t + dt) for p in curve.samples), curve.closed)
+    """``BoundaryCurve.translated`` built one sample at a time."""
+    return _curve(((th, t + dt) for th, t in _samples(curve)), curve.closed)
 
 
 def reference_rotated(curve: BoundaryCurve, alpha: float) -> BoundaryCurve:
-    """``BoundaryCurve.rotated`` built one point at a time."""
-    return BoundaryCurve(
-        (BoundaryPoint(p.theta + alpha, p.t) for p in curve.samples), curve.closed
-    )
+    """``BoundaryCurve.rotated`` built one sample at a time."""
+    return _curve(((th + alpha, t) for th, t in _samples(curve)), curve.closed)
 
 
 def reference_gamma_curves(rect, n: int) -> tuple[BoundaryCurve, BoundaryCurve]:
-    """``barriers.gamma_curves`` built one point at a time."""
+    """``barriers.gamma_curves`` built one sample at a time."""
     tau = rect.amb.tau
-    lower = BoundaryCurve(
+    lower = _curve(
         (
-            BoundaryPoint(math.pi + th + rect.rotation, -2.0 * tau * th + rect.vertical_offset)
-            for th in np.linspace(-rect.r, rect.r, n)
+            (math.pi + th + rect.rotation, -2.0 * tau * th + rect.vertical_offset)
+            for th in np.linspace(-rect.r, rect.r, n).tolist()
         ),
         closed=False,
     )
@@ -187,53 +204,52 @@ def reference_gamma_curves(rect, n: int) -> tuple[BoundaryCurve, BoundaryCurve]:
 
 
 def reference_rectangle_boundary(rect, n: int) -> BoundaryCurve:
-    """``barriers.rectangle_boundary`` joined point by point, without its simplicity check."""
+    """``barriers.rectangle_boundary`` joined sample by sample, without its simplicity check."""
     g0, g1 = reference_gamma_curves(rect, n)
+    lower, upper = _samples(g0), _samples(g1)
     n_side = max(2, n // 2)
-    right_theta = g0.samples[-1].theta
-    left_theta = g0.samples[0].theta
-    up = np.linspace(g0.samples[-1].t, g1.samples[-1].t, n_side)
-    down = np.linspace(g1.samples[0].t, g0.samples[0].t, n_side)
-    pts = list(g0.samples[:-1])
-    pts.extend(BoundaryPoint(right_theta, t) for t in up[:-1])
-    pts.extend(reversed(g1.samples[1:]))
-    pts.extend(BoundaryPoint(left_theta, t) for t in down[:-1])
-    return BoundaryCurve(pts, closed=True)
+    right_theta = lower[-1][0]
+    left_theta = lower[0][0]
+    up = np.linspace(lower[-1][1], upper[-1][1], n_side)
+    down = np.linspace(upper[0][1], lower[0][1], n_side)
+    pts = lower[:-1]
+    pts.extend((right_theta, t) for t in up[:-1])
+    pts.extend(reversed(upper[1:]))
+    pts.extend((left_theta, t) for t in down[:-1])
+    return _curve(pts, closed=True)
 
 
 def reference_containment_sweep(rect, theta1, theta2, t1, t2, n: int = 1000) -> bool:
-    """``barriers.containment_sweep`` as a loop over the boundary points."""
+    """``barriers.containment_sweep`` as a loop over the boundary samples."""
     loop = reference_rectangle_boundary(rect, max(2, n // 3))
     raw = (theta2 - theta1) % (2.0 * math.pi)
     if raw > math.pi:
         start, width = theta2, 2.0 * math.pi - raw
     else:
         start, width = theta1, raw
-    for p in loop.samples:
-        off = (p.theta - start) % (2.0 * math.pi)
+    for theta, t in _samples(loop):
+        off = (theta - start) % (2.0 * math.pi)
         if off > width + 1e-9 and off < 2.0 * math.pi - 1e-9:
             return False
-        if not (t1 < p.t < t2):
+        if not (t1 < t < t2):
             return False
     return True
 
 
 def reference_graph_curve(fn, n: int = 720):
-    """``curves.graph_curve`` built one point at a time."""
+    """``curves.graph_curve`` built one sample at a time."""
     step = 2.0 * math.pi / n
-    comp = BoundaryCurve(
-        (BoundaryPoint(k * step, float(fn(k * step))) for k in range(n)), closed=True
-    )
+    comp = _curve(((k * step, float(fn(k * step))) for k in range(n)), closed=True)
     return curves.AsymptoticCurve([comp])
 
 
 def reference_parallel_circles(heights, n: int = 720):
-    """``curves.parallel_circles`` from per-point circles."""
+    """``curves.parallel_circles`` from per-sample circles."""
     return curves.AsymptoticCurve(reference_horizontal_circle(h, n) for h in heights)
 
 
 def reference_catenoid_asymptotic_circles(amb, d: float, t_offset: float = 0.0, n: int = 720):
-    """``barriers.catenoid_asymptotic_circles`` from per-point circles."""
+    """``barriers.catenoid_asymptotic_circles`` from per-sample circles."""
     hh = asymptotic_height(CatenoidProfile(amb, d))
     return (
         reference_horizontal_circle(t_offset - hh, n),

@@ -88,7 +88,7 @@ def test_criterion_02_model_change_is_isometry():
             )
             q = to_disk_model(amb, p)
             pulled = pullback_metric(metric_cylinder(amb, q), to_disk_jacobian(amb, p))
-            dev = float(np.abs(pulled - metric_halfspace(amb, p).matrix).max())
+            dev = float(np.abs(pulled - metric_halfspace(amb, p)).max())
             worst = max(worst, dev)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 5.0

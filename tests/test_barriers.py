@@ -5,7 +5,7 @@ import pytest
 
 from etau import barriers as bar
 from etau.errors import DomainError, UsageError
-from etau.models import AmbientSpace, BoundaryPoint
+from etau.models import AmbientSpace
 from helpers import dense_polyline, same_bits
 from reference_checks import (
     reference_containment_sweep,
@@ -35,32 +35,32 @@ def test_min_rectangle_height():
 
 def test_boundary_curve_validation():
     with pytest.raises(DomainError):
-        bar.BoundaryCurve([BoundaryPoint(0.0, 0.0)], closed=False)
+        bar.BoundaryCurve([0.0], [0.0], closed=False)
     with pytest.raises(DomainError):
-        bar.BoundaryCurve([BoundaryPoint(0.0, 0.0), BoundaryPoint(0.1, 0.0)], closed=False)
+        bar.BoundaryCurve([0.0, 0.1], [0.0, 0.0], closed=False)
     # closed curves must also satisfy the resolution contract on the wrap pair
-    bad = [BoundaryPoint(k * 0.01, 0.0) for k in range(100)]
-    bar.BoundaryCurve(bad, closed=False)
+    bad = [k * 0.01 for k in range(100)]
+    bar.BoundaryCurve(bad, np.zeros(100), closed=False)
     with pytest.raises(DomainError):
-        bar.BoundaryCurve(bad, closed=True)
+        bar.BoundaryCurve(bad, np.zeros(100), closed=True)
 
 
 def test_boundary_curve_names_first_wide_pair():
     # two wide gaps, 0.03 -> 0.1 and 0.2 -> 0.3; the message names the first
-    pts = [BoundaryPoint(th, 0.0) for th in (0.0, 0.01, 0.02, 0.03, 0.1, 0.11, 0.2, 0.3)]
+    theta = [0.0, 0.01, 0.02, 0.03, 0.1, 0.11, 0.2, 0.3]
     with pytest.raises(DomainError, match=r"contract: 0\.03 to 0\.1$"):
-        bar.BoundaryCurve(pts, closed=False)
+        bar.BoundaryCurve(theta, np.zeros(8), closed=False)
     # closed: only the wrap pair is wide, and it is named last sample first
-    wrap = [BoundaryPoint(k * 0.01, 0.0) for k in range(100)]
+    wrap = [k * 0.01 for k in range(100)]
     with pytest.raises(DomainError, match=r"contract: 0\.99 to 0\.0$"):
-        bar.BoundaryCurve(wrap, closed=True)
+        bar.BoundaryCurve(wrap, np.zeros(100), closed=True)
 
 
 def test_boundary_curve_arrays_are_stored_read_only():
     c = bar.horizontal_circle(1.0, 360)
     assert c.theta_array() is c.theta_array() and c.t_array() is c.t_array()
-    np.testing.assert_array_equal(c.theta_array(), [p.theta for p in c.samples])
-    np.testing.assert_array_equal(c.t_array(), [p.t for p in c.samples])
+    np.testing.assert_array_equal(c.theta_array(), np.arange(360) * (TWO_PI / 360))
+    np.testing.assert_array_equal(c.t_array(), np.ones(360))
     with pytest.raises(ValueError):
         c.t_array()[0] = 2.0
     assert c == bar.horizontal_circle(1.0, 360)
@@ -71,61 +71,57 @@ def test_from_arrays_checks_like_the_constructor():
     t = np.zeros(5)
     # the message names plain floats, not numpy scalars
     with pytest.raises(DomainError, match=r"contract: 0\.03 to 0\.1$"):
-        bar.BoundaryCurve.from_arrays(theta, t, closed=False)
+        bar.BoundaryCurve(theta, t, closed=False)
     with pytest.raises(DomainError, match="at least 2 samples"):
-        bar.BoundaryCurve.from_arrays([0.0], [0.0], closed=False)
+        bar.BoundaryCurve([0.0], [0.0], closed=False)
     for bad in (math.nan, math.inf, -math.inf):
         for coords in (([0.0, bad], [0.0, 0.0]), ([0.0, 0.01], [bad, 0.0])):
             with pytest.raises(UsageError, match="boundary point coordinates must be finite"):
-                bar.BoundaryCurve.from_arrays(*coords, closed=False)
-        for point in ((bad, 0.0), (0.0, bad)):
-            with pytest.raises(UsageError, match="boundary point coordinates must be finite"):
-                BoundaryPoint(*point)
+                bar.BoundaryCurve(*coords, closed=False)
     with pytest.raises(UsageError, match="one length"):
-        bar.BoundaryCurve.from_arrays([0.0, 0.01], [0.0], closed=False)
+        bar.BoundaryCurve([0.0, 0.01], [0.0], closed=False)
     with pytest.raises(UsageError, match="one length"):
-        bar.BoundaryCurve.from_arrays(np.zeros((2, 2)), np.zeros((2, 2)), closed=False)
+        bar.BoundaryCurve(np.zeros((2, 2)), np.zeros((2, 2)), closed=False)
 
 
 def test_from_arrays_copies_and_matches_the_constructor():
     theta = np.arange(100) * 0.01 - 0.5
     t = np.sin(theta)
-    c = bar.BoundaryCurve.from_arrays(theta, t, closed=False)
+    c = bar.BoundaryCurve(theta, t, closed=False)
     theta[:] = 0.0
     t[:] = 0.0
     assert c.theta_array()[0] == pytest.approx(TWO_PI - 0.5)
     assert c.t_array()[0] == math.sin(-0.5)
     with pytest.raises(ValueError):
         c.theta_array()[0] = 1.0
-    points = bar.BoundaryCurve(c.samples, closed=False)
-    assert same_bits(points, c)
-    assert points == c and hash(points) == hash(c)
+    again = bar.BoundaryCurve(c.theta_array(), c.t_array(), closed=False)
+    assert same_bits(again, c) and again.theta_array() is not c.theta_array()
+    assert again == c and hash(again) == hash(c)
     assert c != c.translated(1e-12)
     loop = bar.horizontal_circle(0.0, 360)
-    assert loop != bar.BoundaryCurve.from_arrays(loop.theta_array(), loop.t_array(), closed=False)
+    assert loop != bar.BoundaryCurve(loop.theta_array(), loop.t_array(), closed=False)
 
 
 def test_equal_curves_compare_without_points():
     a, b = bar.horizontal_circle(1.0, 360), bar.horizontal_circle(1.0, 360)
     assert a == b and hash(a) == hash(b)
     assert len({a, b, bar.horizontal_circle(-0.0, 360), bar.horizontal_circle(0.0, 360)}) == 2
-    assert "samples" not in vars(a) and "samples" not in vars(b)
+    assert not hasattr(a, "samples")
 
 
 def test_angles_stay_below_two_pi():
     # a tiny negative angle leaves a remainder that rounds up to 2 pi itself
     for theta in (-1e-17, -3e-16, -1e-300, -0.0, TWO_PI, -TWO_PI, 2.0 * TWO_PI):
-        p = BoundaryPoint(theta, 0.0)
-        assert p.theta == 0.0 and math.copysign(1.0, p.theta) == 1.0, theta
-        c = bar.BoundaryCurve.from_arrays([theta, 0.01], [0.0, 0.0], closed=False)
-        assert c.theta_array()[0] == 0.0
-    assert BoundaryPoint(-1e-15, 0.0).theta == TWO_PI - 1e-15 < TWO_PI
+        c = bar.BoundaryCurve([theta, 0.01], [0.0, 0.0], closed=False)
+        first = c.theta_array()[0]
+        assert first == 0.0 and math.copysign(1.0, first) == 1.0, theta
+    c = bar.BoundaryCurve([-1e-15, 0.01], [0.0, 0.0], closed=True)
+    assert c.theta_array()[0] == TWO_PI - 1e-15 < TWO_PI
     circle = bar.horizontal_circle(0.0, 720)
     for alpha in (-1e-17, -3e-16, -1e-6, -0.37, -7.0, TWO_PI, TWO_PI + 0.1, 13.0, 2.0 * TWO_PI):
         rot = circle.rotated(alpha)
         theta = rot.theta_array()
         assert ((theta >= 0.0) & (theta < TWO_PI)).all(), alpha
-        assert [p.theta for p in rot.samples] == theta.tolist()
         assert same_bits(rot, reference_rotated(circle, alpha)), alpha
     assert circle.rotated(-1e-17).theta_array()[0] == 0.0
 
@@ -227,13 +223,12 @@ def test_gamma_curve_endpoints():
     amb = AmbientSpace(0.5)
     rect = bar.TallRectangleBoundary(amb, bar.min_rectangle_height(amb) + 1.0, 0.5)
     lower, upper = bar.gamma_curves(rect, 80)
-    first, last = lower.samples[0], lower.samples[-1]
-    assert first.theta == pytest.approx(math.pi - 0.5)
-    assert first.t == pytest.approx(2.0 * amb.tau * 0.5)  # descending arc
-    assert last.theta == pytest.approx(math.pi + 0.5)
-    assert last.t == pytest.approx(-2.0 * amb.tau * 0.5)
-    mid = lower.samples[40 - 1 : 40 + 1]
-    assert any(abs(p.t) < 1e-2 for p in mid)
+    theta, t = lower.theta_array(), lower.t_array()
+    assert theta[0] == pytest.approx(math.pi - 0.5)
+    assert t[0] == pytest.approx(2.0 * amb.tau * 0.5)  # descending arc
+    assert theta[-1] == pytest.approx(math.pi + 0.5)
+    assert t[-1] == pytest.approx(-2.0 * amb.tau * 0.5)
+    assert (np.abs(t[40 - 1 : 40 + 1]) < 1e-2).any()
     assert np.allclose(upper.t_array() - lower.t_array(), rect.h)
 
 
@@ -243,8 +238,8 @@ def test_gamma_curves_respect_placement():
         amb, bar.min_rectangle_height(amb) + 0.7, 0.4, rotation=1.1, vertical_offset=-2.0
     )
     lower, _ = bar.gamma_curves(rect, 64)
-    assert lower.samples[0].theta == pytest.approx(math.pi - 0.4 + 1.1)
-    assert lower.samples[0].t == pytest.approx(2.0 * amb.tau * 0.4 - 2.0)
+    assert lower.theta_array()[0] == pytest.approx(math.pi - 0.4 + 1.1)
+    assert lower.t_array()[0] == pytest.approx(2.0 * amb.tau * 0.4 - 2.0)
 
 
 def test_rectangle_boundary_is_closed_and_simple():
@@ -304,7 +299,7 @@ def test_place_rectangle_rejects_wide_arcs():
 
 def test_horizontal_circle():
     c = bar.horizontal_circle(2.5, 400)
-    assert c.closed and len(c.samples) == 400
+    assert c.closed and len(c.theta_array()) == 400
     assert np.allclose(c.t_array(), 2.5)
     assert bar.is_simple(c)
     with pytest.raises(Exception):
@@ -314,10 +309,10 @@ def test_horizontal_circle():
 def test_catenoid_asymptotic_circles_gap():
     amb = AmbientSpace(0.5)
     lower, upper = bar.catenoid_asymptotic_circles(amb, 3.0, t_offset=1.0, n=720)
-    gap = upper.samples[0].t - lower.samples[0].t
+    gap = upper.t_array()[0] - lower.t_array()[0]
     assert gap > 0.0
     assert gap < bar.min_rectangle_height(amb)  # always below pi sqrt(1+4 tau^2)
-    assert (upper.samples[0].t + lower.samples[0].t) / 2.0 == pytest.approx(1.0)
+    assert (upper.t_array()[0] + lower.t_array()[0]) / 2.0 == pytest.approx(1.0)
 
 
 def test_is_simple_detects_bowtie():

@@ -6,7 +6,7 @@ import pytest
 from etau import _csvio, catenoid, cli, curves
 from etau.barriers import BoundaryCurve
 from etau.errors import UsageError
-from etau.models import AmbientSpace, BoundaryPoint
+from etau.models import AmbientSpace
 from etau.numerics import ToleranceConfig
 from reference_checks import reference_profile
 
@@ -284,8 +284,7 @@ def test_classify_file_roundtrip(tmp_path, capsys, monkeypatch):
     assert all(r[2] == "2" for r in rows)
     # the same text as the per-angle crossing search of the reference
     loops = [
-        BoundaryCurve((BoundaryPoint(th, t) for th, t in zip(*comp)), closed=True)
-        for comp in _csvio.read_curve_components(curve_path)
+        BoundaryCurve(*comp, closed=True) for comp in _csvio.read_curve_components(curve_path)
     ]
     heights, counts, retried = reference_profile(curves.AsymptoticCurve(loops), 180)
     assert not retried.any()
@@ -423,9 +422,53 @@ def test_classify_rectangle_closing_on_a_vertical_side(tmp_path, capsys):
 
 
 def test_rectangle_requires_both_angles(capsys):
-    rc, _, err = run(capsys, "rectangle", "--t1", "0", "--t2", "10", "--theta1", "1.0")
+    rc, out, err = run(capsys, "rectangle", "--t1", "0", "--t2", "10", "--theta1", "1.0")
     assert rc == 2
+    assert out == ""
     assert "error:" in err
+
+
+def test_rectangle_refused_placement_prints_nothing(tmp_path, capsys):
+    # at tau = 0.5 the slab (0, 10) admits arcs narrower than about 1.39 only
+    out_path = tmp_path / "rect.csv"
+    rc, out, err = run(
+        capsys, "rectangle", "--tau", "0.5", "--t1", "0", "--t2", "10",
+        "--theta1", "0", "--theta2", "3", "--output", str(out_path),
+    )
+    assert (rc, out) == (2, "")
+    assert "delta_for_slab" in err
+    assert not out_path.exists()
+
+
+def test_classify_unwritable_profile_prints_nothing(tmp_path, capsys):
+    curve_path = tmp_path / "circles.csv"
+    circles = curves.parallel_circles([0.0, 5.0]).components
+    _csvio.write_curve_components(curve_path, [(c.theta_array(), c.t_array()) for c in circles])
+    rc, out, err = run(
+        capsys, "classify", "--curve-file", str(curve_path),
+        "--output", str(tmp_path / "missing" / "profile.csv"),
+    )
+    assert (rc, out) == (2, "")
+    assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        ("--disk", "1.0", "--mesh-rings", "6"),
+        ("--height", "1.1", "--mesh-rows", "9", "--mesh-rings", "6"),
+    ],
+    ids=["disk", "race"],
+)
+def test_plateau_off_export_failure_prints_nothing(tmp_path, capsys, mode):
+    out_path = tmp_path / "plateau.csv"
+    rc, out, err = run(
+        capsys, "plateau", *mode, "--mesh-theta", "24", "--max-iterations", "5",
+        "--off-prefix", str(tmp_path / "missing" / "mesh"), "--output", str(out_path),
+    )
+    assert (rc, out) == (2, "")
+    assert "error:" in err
+    assert not out_path.exists()
 
 
 def test_plateau_disk(tmp_path, capsys):

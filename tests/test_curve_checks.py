@@ -16,7 +16,7 @@ import pytest
 from etau import barriers as bar
 from etau import curves as cur
 from etau.errors import DomainError
-from etau.models import AmbientSpace, BoundaryPoint
+from etau.models import AmbientSpace
 from helpers import dense_polyline
 from reference_checks import reference_is_simple, reference_min_sample_distance
 
@@ -71,7 +71,7 @@ def _walk(seed):
             f = s / k
             theta.append(a0 + f * (theta[0] - a0))
             t.append(t0 + f * (t[0] - t0))
-    return bar.BoundaryCurve((BoundaryPoint(a, b) for a, b in zip(theta, t)), closed)
+    return bar.BoundaryCurve(theta, t, closed)
 
 
 @pytest.mark.parametrize("name,curve", list(_fixtures().items()))
@@ -128,7 +128,7 @@ UNFOLDED = {
 
 def test_is_simple_rejects_folds():
     for name, (theta, t, closed) in {**FOLDS, **UNFOLDED}.items():
-        curve = bar.BoundaryCurve.from_arrays(theta, t, closed)
+        curve = bar.BoundaryCurve(theta, t, closed)
         expected = name in UNFOLDED
         assert bar.is_simple(curve) is expected, name
         assert reference_is_simple(curve) is expected, name
@@ -182,7 +182,7 @@ def test_separation_wraps_across_the_seam():
     # a's at 0, 6.4e-7 apart; every other pair is at least 3.8e-5 apart
     a = bar.horizontal_circle(0.0, 720)
     theta = (np.arange(720) * (2.0 * math.pi / 720) - 4e-7) % (2.0 * math.pi)
-    b = bar.BoundaryCurve.from_arrays(theta, 5e-7 + (1.0 - np.cos(theta)), closed=True)
+    b = bar.BoundaryCurve(theta, 5e-7 + (1.0 - np.cos(theta)), closed=True)
     assert reference_min_sample_distance(a, b) <= cur._MIN_SEPARATION
     assert cur._samples_within(a, b, cur._MIN_SEPARATION)
     assert cur._samples_within(b, a, cur._MIN_SEPARATION)

@@ -7,8 +7,9 @@ import pytest
 from etau import barriers as bar
 from etau import catenoid
 from etau import curves as cur
+from etau import plateau
 from etau.errors import DomainError, UsageError
-from etau.models import AmbientSpace, BoundaryPoint
+from etau.models import AmbientSpace
 from helpers import same_bits
 from reference_checks import (
     ReferenceTangency,
@@ -24,11 +25,9 @@ from reference_checks import (
 
 def ellipse_loop(theta_c, a, b, n=256):
     """Small convex loop around (theta_c, 0) with semiaxes (a, b)."""
-    pts = [
-        BoundaryPoint(theta_c + a * math.cos(s), b * math.sin(s))
-        for s in np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    ]
-    return bar.BoundaryCurve(pts, closed=True)
+    ss = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    theta = [theta_c + a * math.cos(s) for s in ss]
+    return bar.BoundaryCurve(theta, [b * math.sin(s) for s in ss], closed=True)
 
 
 def test_parallel_circles_heights():
@@ -60,9 +59,7 @@ def test_curve_validation():
         cur.parallel_circles([0.0, 1.0], n=4)
     with pytest.raises(DomainError):
         cur.AsymptoticCurve([])
-    open_arc = bar.BoundaryCurve(
-        (BoundaryPoint(0.01 * k, 0.0) for k in range(50)), closed=False
-    )
+    open_arc = bar.BoundaryCurve([0.01 * k for k in range(50)], np.zeros(50), closed=False)
     with pytest.raises(DomainError):
         cur.AsymptoticCurve([open_arc])
     # components closer than the separation floor are rejected
@@ -125,7 +122,7 @@ def test_line_on_vertical_edge_reads_right_limit():
     rect = bar.place_rectangle(amb, 1.0, 1.6, 0.0, 2.0 * math.pi * math.sqrt(2.0))
     curve = cur.AsymptoticCurve([bar.rectangle_boundary(rect, 160)])
     g0, _ = bar.gamma_curves(rect, 160)
-    left_side, right_side = g0.samples[0].theta, g0.samples[-1].theta
+    left_side, right_side = float(g0.theta_array()[0]), float(g0.theta_array()[-1])
     # the rectangle lies to the right of its left side and to the left of its right side
     assert left_side == pytest.approx(rect.rotation + math.pi - rect.r, abs=1e-15)
     assert cur.height_at(curve, left_side) == pytest.approx(rect.h, abs=1e-9)
@@ -164,7 +161,7 @@ def test_line_at_fold_reads_right_limit():
     p_tan = 90 * (2.0 * math.pi / 720)
     loop = ellipse_loop(p_tan - 0.05, 0.05, 0.05)
     curve = cur.AsymptoticCurve([loop])
-    rightmost, leftmost = loop.samples[0].theta, loop.samples[128].theta
+    rightmost, leftmost = float(loop.theta_array()[0]), float(loop.theta_array()[128])
     assert cur.vertical_line_crossings(curve, rightmost) == []
     assert cur.height_at(curve, rightmost) == math.inf
     # both arcs leave the leftmost sample to the right, from one height
@@ -244,8 +241,8 @@ def dip_curve():
     ang = np.linspace(0.0, 2.0 * math.pi, 20000, endpoint=False)
     off = np.abs((ang - centre + math.pi) % (2.0 * math.pi) - math.pi)
     t = np.where(off < 0.002, 2.5 + 1.5 * off / 0.002, 4.0)
-    lower = bar.BoundaryCurve((BoundaryPoint(a, 0.0) for a in ang), closed=True)
-    upper = bar.BoundaryCurve((BoundaryPoint(a, v) for a, v in zip(ang, t)), closed=True)
+    lower = bar.BoundaryCurve(ang, np.zeros_like(ang), closed=True)
+    upper = bar.BoundaryCurve(ang, t, closed=True)
     return cur.AsymptoticCurve([lower, upper]), float(t.min()), centre
 
 
@@ -310,42 +307,34 @@ def test_graph_curve_matches_point_builder():
             assert same_bits(got, reference_graph_curve(fn, n).components[0]), n
 
 
-def test_circles_and_their_verdicts_make_no_points(monkeypatch):
-    made = []
-    check = BoundaryPoint.__post_init__
-
-    def counting(self):
-        made.append(self)
-        check(self)
-
-    monkeypatch.setattr(BoundaryPoint, "__post_init__", counting)
-    amb = AmbientSpace(0.4)
-    pair = cur.AsymptoticCurve(bar.catenoid_asymptotic_circles(amb, 3.0))
-    raised = cur.parallel_circles([0.0, 1.001 * cur.tall_threshold(amb)])
-    assert cur.classify(amb, pair, n=360).verdict is not cur.Verdict.TALL
-    assert cur.classify(amb, raised, n=360).verdict is cur.Verdict.TALL
-    assert made == []
-    circle = raised.components[1]
-    points = circle.samples
-    assert len(made) == 720
-    assert circle.samples is points and len(made) == 720
-    assert [p.t for p in points] == circle.t_array().tolist()
-
-
 def test_radial_projection():
     curve = cur.parallel_circles([-1.0, 1.0], n=512)
     loops = cur.radial_projection(curve, 2.0, 5.0)
     assert len(loops) == 2
     radius = math.tanh(2.0)
     for loop, t in zip(loops, (-1.0, 1.0)):
-        assert len(loop) == 512
-        for p in loop:
-            assert math.hypot(p.x, p.y) == pytest.approx(radius, abs=1e-12)
-            assert p.t == t
+        assert loop.shape == (512, 3) and loop.dtype == np.float64
+        np.testing.assert_allclose(np.hypot(loop[:, 0], loop[:, 1]), radius, rtol=0, atol=1e-12)
+        assert (loop[:, 2] == t).all()
     with pytest.raises(DomainError):
         cur.radial_projection(curve, 2.0, 0.9)
     with pytest.raises(DomainError):
         cur.radial_projection(curve, -1.0, 5.0)
+    # tanh(40) rounds to 1: the cylinder would lie on the model boundary
+    with pytest.raises(DomainError):
+        cur.radial_projection(curve, 40.0, 5.0)
+
+
+@pytest.mark.parametrize("t, n, k", [(0.0, 1.0, 720), (-1.25, 2.0, 360), (0.5, 0.3, 361)])
+def test_radial_projection_of_a_circle_is_the_circle_loop(t, n, k):
+    # the exhaustion pipeline: a boundary circle projected onto the finite
+    # cylinder of index n is the minimizer's own circle loop, and meshes alike
+    loop = cur.radial_projection(cur.parallel_circles([t], k), n, 2.0)[0]
+    circle = plateau.circle_loop(math.tanh(n), t, k)
+    assert loop.tobytes() == circle.tobytes()
+    fractions = plateau.hyperbolic_ring_fractions(2.0 * n, 6)
+    projected = plateau.mesh_disk(loop, 6, fractions)
+    assert projected.vertices.tobytes() == plateau.mesh_disk(circle, 6, fractions).vertices.tobytes()
 
 
 def test_profile_grid_validation():
@@ -391,7 +380,7 @@ def _reference_cases():
     amb = AmbientSpace(0.5)
     rect = bar.place_rectangle(amb, 1.0, 1.6, 0.0, 2.0 * math.pi * math.sqrt(2.0))
     rect_curve = cur.AsymptoticCurve([bar.rectangle_boundary(rect, 160)])
-    side = bar.gamma_curves(rect, 160)[0].samples[0].theta
+    side = float(bar.gamma_curves(rect, 160)[0].theta_array()[0])
     p_tan = 90 * (2.0 * math.pi / 720)
     ellipse = ellipse_loop(p_tan - 0.05, 0.05, 0.05)
     # touched from the inside at p_tan, so a retried line crosses this one
@@ -400,7 +389,7 @@ def _reference_cases():
     return [
         (cur.parallel_circles([0.0, 2.0]), [1.0]),
         (rect_curve, [side, rect.rotation + math.pi]),
-        (cur.AsymptoticCurve([ellipse]), [p_tan, ellipse.samples[0].theta]),
+        (cur.AsymptoticCurve([ellipse]), [p_tan, float(ellipse.theta_array()[0])]),
         (cur.AsymptoticCurve([ellipse, mirrored]), [p_tan]),
         (cur.graph_curve(lambda th: 2.5 + 0.8 * math.cos(th)), [0.5]),
     ]

@@ -7,18 +7,19 @@ dotted name after ``etau`` starts with an underscore.
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
 import etau
 
 MODULES = ["etau"] + sorted(m.name for m in pkgutil.walk_packages(etau.__path__, "etau."))
-PUBLIC = [m for m in MODULES[1:] if not any(p.startswith("_") for p in m.split(".")[1:])]
+PUBLIC = [m for m in MODULES if not any(p.startswith("_") for p in m.split(".")[1:])]
 
 
 def test_every_module_is_covered():
     assert {"etau._kernels", "etau._kernels.mesh_numpy", "etau.plateau"} <= set(MODULES)
-    assert {"etau.numerics", "etau.errors", "etau.catenoid", "etau.cli"} <= set(PUBLIC)
+    assert {"etau", "etau.numerics", "etau.errors", "etau.catenoid", "etau.cli"} <= set(PUBLIC)
     assert "etau._csvio" not in PUBLIC and "etau._kernels.mesh_numpy" not in PUBLIC
 
 
@@ -33,3 +34,12 @@ def test_all_entries_resolve(name):
 @pytest.mark.parametrize("name", PUBLIC)
 def test_public_module_declares_all(name):
     assert isinstance(importlib.import_module(name).__all__, list)
+
+
+def test_package_all_lists_exactly_its_reexports():
+    reexports = {
+        name
+        for name, value in vars(etau).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(etau.__all__) == sorted(reexports)

@@ -214,7 +214,7 @@ def test_lift_pullback_is_isometry(tau, orientation):
         q = apply_lift(lift, p)
         j = lift_jacobian(lift, p)
         pulled = pullback_metric(metric_cylinder(amb, q), j)
-        assert np.allclose(pulled, metric_cylinder(amb, p).matrix, atol=1e-7)
+        assert np.allclose(pulled, metric_cylinder(amb, p), atol=1e-7)
 
 
 @pytest.mark.parametrize("orientation", [POSITIVE, NEGATIVE])
@@ -256,7 +256,7 @@ def test_scalar_metric_and_pullback_keep_their_bits():
             z = 0.99 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0.0, TWO_PI))
             p = CylinderPoint(z.real, z.imag, rng.normal())
             g = reference_metric_cylinder(tau, p.x, p.y)
-            assert np.array_equal(metric_cylinder(amb, p).matrix, g)
+            assert np.array_equal(metric_cylinder(amb, p), g)
             assert np.array_equal(cylinder_metric_matrices(tau, [p.x], [p.y])[0], g)
             j = rng.normal(size=(3, 3))
             assert np.array_equal(pullback_metric(metric_cylinder(amb, p), j), j.T @ g @ j)
@@ -321,12 +321,25 @@ def test_sampled_sup_matches_reference_bit_for_bit(
         dict(ring_samples=-1),
         dict(n_random=0, ring_samples=0),
         dict(n_random=0, ring_depths=()),
+        dict(ring_depths=(-0.5,)),
+        dict(ring_depths=(0.0,)),
+        dict(ring_depths=(1e-3, float("nan"))),
+        dict(ring_depths=(1.5,)),
+        dict(ring_depths=(float("inf"),)),
     ],
 )
 def test_sampled_sup_rejects_negative_counts_and_empty_samples(args):
     lift = hyperbolic_translation(AmbientSpace(0.3), 1.7)
-    with pytest.raises(DomainError):
+    bad = [d for d in args.get("ring_depths", ()) if not 0.0 < d <= 1.0]
+    with pytest.raises(DomainError, match=repr(bad[0]) if bad else None):
         sampled_sup_shift(lift, **args)
+
+
+def test_sampled_sup_accepts_the_deepest_ring():
+    # depth 1 is the ring of radius 0, the disk's center
+    lift = hyperbolic_translation(AmbientSpace(0.5), 2.0)
+    sup, z = sampled_sup_shift(lift, n_random=0, ring_depths=(1.0,), ring_samples=4)
+    assert z == 0j and sup < 2.0 * 0.5 * math.pi
 
 
 def test_sampled_sup_rings_are_built_once_and_read_only():

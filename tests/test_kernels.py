@@ -57,7 +57,7 @@ def test_kernel_area_uses_the_model_metric():
         assert not degen.any()
         for k, (p0, p1, p2) in enumerate(vertices.reshape(m, 3, 3)):
             bary = (p0 + p1 + p2) / 3.0
-            g = metric_cylinder(amb, CylinderPoint(*bary)).matrix
+            g = metric_cylinder(amb, CylinderPoint(*bary))
             e = np.column_stack([p1 - p0, p2 - p0])
             expected = 0.5 * np.sqrt(np.linalg.det(e.T @ g @ e))
             assert areas[k] == pytest.approx(expected, rel=1e-12)

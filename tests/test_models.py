@@ -67,7 +67,7 @@ def test_conformal_factor_center_and_known_point():
 def test_cylinder_metric_known_components():
     # at (1/2, 0), tau = 1: lam = 8/3, A = 0, B = -8/3
     amb = AmbientSpace(1.0)
-    g = metric_cylinder(amb, CylinderPoint(0.5, 0.0, 0.0)).matrix
+    g = metric_cylinder(amb, CylinderPoint(0.5, 0.0, 0.0))
     expected = np.array(
         [
             [64.0 / 9.0, 0.0, 0.0],
@@ -82,20 +82,20 @@ def test_cylinder_metric_determinant_is_lambda_fourth():
     # the fiber direction contributes a unipotent factor, so det g = lam^4
     amb = AmbientSpace(0.7)
     for x, y in [(0.0, 0.0), (0.3, -0.4), (-0.8, 0.1), (0.05, 0.9)]:
-        g = metric_cylinder(amb, CylinderPoint(x, y, 0.0)).matrix
+        g = metric_cylinder(amb, CylinderPoint(x, y, 0.0))
         lam = conformal_factor(x, y)
         assert abs(np.linalg.det(g) - lam**4) < 1e-8 * lam**4
 
 
 def test_halfspace_metric_known_components():
     amb = AmbientSpace(1.0)
-    g = metric_halfspace(amb, HalfSpacePoint(0.0, 1.0, 0.0)).matrix
+    g = metric_halfspace(amb, HalfSpacePoint(0.0, 1.0, 0.0))
     expected = np.array([[5.0, 0.0, -2.0], [0.0, 1.0, 0.0], [-2.0, 0.0, 1.0]])
     assert np.allclose(g, expected, atol=1e-14)
 
 
 def test_product_case_has_no_cross_terms():
-    g = metric_cylinder(AmbientSpace(0.0), CylinderPoint(0.3, 0.2, 1.0)).matrix
+    g = metric_cylinder(AmbientSpace(0.0), CylinderPoint(0.3, 0.2, 1.0))
     assert g[0, 2] == 0.0 and g[1, 2] == 0.0 and g[0, 1] == 0.0
 
 
@@ -139,7 +139,20 @@ def test_model_change_is_isometry(tau):
         q = to_disk_model(amb, p)
         j = to_disk_jacobian(amb, p)
         pulled = pullback_metric(metric_cylinder(amb, q), j)
-        assert np.allclose(pulled, metric_halfspace(amb, p).matrix, atol=1e-8)
+        assert np.allclose(pulled, metric_halfspace(amb, p), atol=1e-8)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.1, 0.5, 1.0])
+def test_metrics_are_symmetric_positive_definite(tau):
+    # the points of test_model_change_is_isometry, in both models
+    amb = AmbientSpace(tau)
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        p = HalfSpacePoint(2.0 * rng.normal(), math.exp(rng.normal()), rng.normal())
+        for g in (metric_halfspace(amb, p), metric_cylinder(amb, to_disk_model(amb, p))):
+            assert g.shape == (3, 3)
+            assert np.array_equal(g, g.T)
+            assert (np.linalg.eigvalsh(g) > 0.0).all()
 
 
 def test_patch_area_flat_hyperbolic_disk():
