@@ -12,8 +12,6 @@ asymptotic curves, and a discrete fixed-boundary area minimizer.
 from .errors import DomainError, QuadratureError, UsageError
 from .models import (
     AmbientSpace,
-    CylinderPoint,
-    HalfSpacePoint,
     conformal_factor,
     metric_cylinder,
     metric_halfspace,
@@ -85,9 +83,8 @@ from .plateau import (
 
 __all__ = [
     "DomainError", "QuadratureError", "UsageError",
-    "AmbientSpace", "CylinderPoint", "HalfSpacePoint", "conformal_factor", "metric_cylinder",
-    "metric_halfspace", "patch_area", "pullback_metric", "to_disk_jacobian", "to_disk_model",
-    "to_halfspace_model",
+    "AmbientSpace", "conformal_factor", "metric_cylinder", "metric_halfspace", "patch_area",
+    "pullback_metric", "to_disk_jacobian", "to_disk_model", "to_halfspace_model",
     "QuadratureResult", "ToleranceConfig", "bisect_monotone", "integrate",
     "LiftedIsometry", "MobiusIsometry", "bounded_lift", "disk_rotation", "hyperbolic_mobius",
     "hyperbolic_translation", "mobius_compose", "rotation_lift", "sampled_sup_shift",

@@ -30,7 +30,7 @@ strictly below the sharp threshold 2 tau pi, and approaching it as
 |f(0)| -> 1.
 
 Lifts act on arrays: (n, 3) vertex rows (x, y, t) in, (n, 3) images or (n, 3, 3) Jacobians
-out, and a DomainError names any bad row.  ``apply_lift`` and ``lift_jacobian`` take one point.
+out, and a DomainError names any bad row.  A single point is a (1, 3) array.
 """
 
 from __future__ import annotations
@@ -43,14 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .models import BOUNDARY_MARGIN, AmbientSpace, CylinderPoint
+from .models import AmbientSpace, _cylinder_rows
 
 __all__ = [
     "POSITIVE", "NEGATIVE", "MobiusIsometry", "mobius_identity", "disk_rotation",
     "hyperbolic_mobius", "mobius_apply", "mobius_derivative", "mobius_compose", "SectorBranch",
     "compute_branch_sector", "arg_fprime", "LiftedIsometry", "make_lift", "bounded_lift",
     "vertical_translation", "rotation_lift", "hyperbolic_translation", "t_shift",
-    "apply_lift_array", "lift_jacobian_array", "apply_lift", "lift_jacobian", "sampled_sup_shift",
+    "apply_lift_array", "lift_jacobian_array", "sampled_sup_shift",
 ]
 
 _NORMALIZATION_SLACK = 1e-6
@@ -164,23 +164,18 @@ def compute_branch_sector(m: MobiusIsometry) -> SectorBranch:
 def arg_fprime(m: MobiusIsometry, z, sector: SectorBranch | None = None):
     """Smooth branch of arg f'(z) taking values in [theta1, theta2].
 
-    Accepts complex scalars or arrays.  The branch is evaluated through the
-    sector construction, so it is continuous on the whole open disk; no
-    per-point principal value is taken.
+    Accepts complex scalars or arrays; the result has the shape of z.  The
+    branch is evaluated through the sector construction, so it is
+    continuous on the whole open disk; no per-point principal value is taken.
     """
     if sector is None:
         sector = compute_branch_sector(m)
     if sector.o is None:
-        if isinstance(z, np.ndarray):
-            return np.full(z.shape, sector.theta1)
-        return sector.theta1
+        return np.full(np.shape(z), sector.theta1)
     w = np.conj(z) - sector.o
     rotated = w * cmath.exp(-1j * sector.phi_center)
     delta = np.arctan2(np.imag(rotated), np.real(rotated))
-    val = sector.theta_tilde + 2.0 * (sector.phi_center + delta)
-    if isinstance(z, np.ndarray):
-        return val
-    return float(val)
+    return sector.theta_tilde + 2.0 * (sector.phi_center + delta)
 
 
 @dataclass(frozen=True)
@@ -242,24 +237,10 @@ def t_shift(lift: LiftedIsometry, z):
     return lift.c - 2.0 * lift.tau * arg_fprime(lift.f, z, lift.sector)
 
 
-def _disk_vertices(vertices):
-    """Checked (n, 3) float rows (x, y, t) and their disk coordinates z = x + i y."""
-    v = np.asarray(vertices, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 3:
-        raise UsageError("vertices must have shape (n, 3), got %s" % (v.shape,))
-    rho2 = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
-    bad = np.flatnonzero(~(np.isfinite(v).all(axis=1) & (rho2 < 1.0 - BOUNDARY_MARGIN)))
-    if bad.size:
-        raise DomainError(
-            "vertex row %d = %r is not a finite point of the open unit disk (margin %g)"
-            % (bad[0], v[bad[0]].tolist(), BOUNDARY_MARGIN)
-        )
-    return v, v[:, 0] + 1j * v[:, 1]
-
-
 def apply_lift_array(lift: LiftedIsometry, vertices) -> np.ndarray:
     """Images of (n, 3) cylinder-model vertices (x, y, t) under the lift, shape (n, 3)."""
-    v, z = _disk_vertices(vertices)
+    v = _cylinder_rows(vertices)
+    z = v[:, 0] + 1j * v[:, 1]
     w = mobius_apply(lift.f, z)
     if lift.orientation == POSITIVE:
         return np.stack([w.real, w.imag, v[:, 2] + t_shift(lift, z)], axis=1)
@@ -273,7 +254,8 @@ def lift_jacobian_array(lift: LiftedIsometry, vertices) -> np.ndarray:
     d(arg f') = Im(q dz) with q = f''/f' = -2 w2 / (w2 z - conj(w1)), so its x and y
     derivatives are Im q and Re q.  The negative lift negates the last two rows.
     """
-    v, z = _disk_vertices(vertices)
+    v = _cylinder_rows(vertices)
+    z = v[:, 0] + 1j * v[:, 1]
     fp = mobius_derivative(lift.f, z)
     q = -2.0 * lift.f.w2 / (lift.f.w2 * z - np.conj(lift.f.w1))
     sign = 1.0 if lift.orientation == POSITIVE else -1.0
@@ -283,16 +265,6 @@ def lift_jacobian_array(lift: LiftedIsometry, vertices) -> np.ndarray:
     jac[:, 1, :2] = np.stack([sign * fp.imag, sign * fp.real], axis=1)
     jac[:, 2] = np.stack([k * q.imag, k * q.real, np.full(len(v), sign)], axis=1)
     return jac
-
-
-def apply_lift(lift: LiftedIsometry, p: CylinderPoint) -> CylinderPoint:
-    """Apply the lifted isometry to a cylinder-model point."""
-    return CylinderPoint(*apply_lift_array(lift, p.as_array()[None])[0].tolist())
-
-
-def lift_jacobian(lift: LiftedIsometry, p: CylinderPoint) -> np.ndarray:
-    """Analytic Jacobian of apply_lift at p."""
-    return lift_jacobian_array(lift, p.as_array()[None])[0]
 
 
 @functools.lru_cache(maxsize=8)

@@ -13,8 +13,10 @@ Both are Riemannian metrics on 3-dimensional total spaces fibering over the
 hyperbolic plane; tau is the bundle curvature parameter (tau = 0 gives the
 metric product H^2 x R).
 
-Points are :class:`CylinderPoint` and :class:`HalfSpacePoint`; a metric
-value is a plain 3x3 array, or a stack of them for arrays of points.
+A point is a row (x, y, t): every model function takes an (n, 3) array
+of rows and returns (n, 3) images or (n, 3, 3) metrics and Jacobians.  A
+non-finite row, or one within BOUNDARY_MARGIN of the model's boundary,
+raises DomainError naming the row.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from .errors import DomainError, UsageError
 from .numerics import ToleranceConfig
 
 __all__ = [
-    "BOUNDARY_MARGIN", "AmbientSpace", "CylinderPoint", "HalfSpacePoint",
-    "fiber_form", "conformal_factor", "cylinder_metric_matrices",
-    "metric_cylinder", "metric_halfspace", "to_disk_model", "to_halfspace_model",
-    "to_disk_jacobian", "pullback_metric", "PatchAreaResult", "patch_area",
+    "BOUNDARY_MARGIN", "AmbientSpace", "fiber_form", "conformal_factor", "metric_cylinder",
+    "metric_halfspace", "to_disk_model", "to_halfspace_model", "to_disk_jacobian",
+    "pullback_metric", "PatchAreaResult", "patch_area",
 ]
 
 # Points closer than this to the boundary circle / boundary plane are refused:
@@ -57,55 +58,39 @@ class AmbientSpace:
             raise UsageError(f"tol must be a ToleranceConfig, got {self.tol!r}")
 
 
-def _check_finite(model: str, x: float, y: float, t: float) -> None:
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(t)):
-        raise DomainError("%s point (%r, %r, %r) has a non-finite coordinate" % (model, x, y, t))
+def _in_disk(v: np.ndarray) -> np.ndarray:
+    return np.isfinite(v).all(axis=1) & (v[:, 0] ** 2 + v[:, 1] ** 2 < 1.0 - BOUNDARY_MARGIN)
 
 
-@dataclass(frozen=True)
-class CylinderPoint:
-    """Point (x, y, t) of the cylinder model, (x, y) strictly inside the unit disk."""
-
-    x: float
-    y: float
-    t: float
-
-    def __post_init__(self):
-        _check_finite("cylinder", self.x, self.y, self.t)
-        rho2 = self.x * self.x + self.y * self.y
-        if not rho2 < 1.0 - BOUNDARY_MARGIN:
-            raise DomainError(
-                "point at squared radius %r is outside the open unit disk (margin %g)"
-                % (rho2, BOUNDARY_MARGIN)
-            )
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.t], dtype=float)
+def _in_halfspace(v: np.ndarray) -> np.ndarray:
+    return np.isfinite(v).all(axis=1) & (v[:, 1] > BOUNDARY_MARGIN)
 
 
-@dataclass(frozen=True)
-class HalfSpacePoint:
-    """Point (x, y, t) of the half-space model, y > 0."""
+def _refuse(v: np.ndarray, ok: np.ndarray, what: str) -> None:
+    """Raise DomainError naming the first row of v where ok is False."""
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise DomainError(
+            "vertex row %d = %r %s (margin %g)" % (k, v[k].tolist(), what, BOUNDARY_MARGIN)
+        )
 
-    x: float
-    y: float
-    t: float
 
-    def __post_init__(self):
-        _check_finite("half-space", self.x, self.y, self.t)
-        if not self.y > BOUNDARY_MARGIN:
-            raise DomainError("half-space point needs y > %g, got y=%r" % (BOUNDARY_MARGIN, self.y))
+def _rows(vertices, inside, model: str) -> np.ndarray:
+    v = np.asarray(vertices, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise UsageError("vertices must have shape (n, 3), got %s" % (v.shape,))
+    _refuse(v, inside(v), "is not a finite point of the " + model)
+    return v
 
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.t], dtype=float)
+def _cylinder_rows(vertices) -> np.ndarray:
+    """Checked (n, 3) float rows (x, y, t) of the cylinder model."""
+    return _rows(vertices, _in_disk, "open unit disk")
+
+
+def _halfspace_rows(vertices) -> np.ndarray:
+    """Checked (n, 3) float rows (x, y, t) of the half-space model."""
+    return _rows(vertices, _in_halfspace, "half-space y > 0")
 
 
 def fiber_form(tau, x, y):
@@ -131,42 +116,28 @@ def conformal_factor(x: float, y: float) -> float:
     return lam
 
 
-def cylinder_metric_matrices(tau, x, y) -> np.ndarray:
-    """Cylinder-model metrics at arrays (x, y), shape ``np.shape(x) + (3, 3)``; no domain check."""
-    lam, a, b = fiber_form(tau, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+def metric_cylinder(amb: AmbientSpace, vertices) -> np.ndarray:
+    """Cylinder-model metrics at (n, 3) rows, shape (n, 3, 3)."""
+    v = _cylinder_rows(vertices)
+    lam, a, b = fiber_form(amb.tau, v[:, 0], v[:, 1])
     lam2, ab, one = lam * lam, a * b, np.ones_like(lam)
     g = np.stack([lam2 + a * a, ab, a, ab, lam2 + b * b, b, a, b, one], axis=-1)
-    return g.reshape(np.shape(lam) + (3, 3))
+    return g.reshape(-1, 3, 3)
 
 
-def metric_cylinder(amb: AmbientSpace, p: CylinderPoint) -> np.ndarray:
-    """Cylinder-model metric at p as a 3x3 array."""
-    return cylinder_metric_matrices(amb.tau, p.x, p.y)
-
-
-def metric_halfspace(amb: AmbientSpace, p: HalfSpacePoint) -> np.ndarray:
-    """Half-space-model metric at p as a 3x3 array."""
-    tau = amb.tau
-    y = p.y
+def metric_halfspace(amb: AmbientSpace, vertices) -> np.ndarray:
+    """Half-space-model metrics at (n, 3) rows, shape (n, 3, 3)."""
+    y = _halfspace_rows(vertices)[:, 1]
     inv_y2 = 1.0 / (y * y)
     # omega = -(2 tau / y) dx + dt
-    c = -2.0 * tau / y
-    return np.array(
-        [
-            [inv_y2 + c * c, 0.0, c],
-            [0.0, inv_y2, 0.0],
-            [c, 0.0, 1.0],
-        ]
-    )
+    c = -2.0 * amb.tau / y
+    zero, one = np.zeros_like(y), np.ones_like(y)
+    g = np.stack([inv_y2 + c * c, zero, c, zero, inv_y2, zero, c, zero, one], axis=-1)
+    return g.reshape(-1, 3, 3)
 
 
-def _phi(z: complex) -> complex:
-    # Cayley-type map sending the upper half plane onto the unit disk, i -> 0.
-    return (z - 1j) / (z + 1j)
-
-
-def to_disk_model(amb: AmbientSpace, p: HalfSpacePoint) -> CylinderPoint:
-    """Isometric change of model: half-space -> cylinder.
+def to_disk_model(amb: AmbientSpace, vertices) -> np.ndarray:
+    """Isometric change of model: half-space rows -> cylinder rows, shape (n, 3).
 
     (z, t) |-> (phi(z), t - 4 tau arctan(x / (y + 1))) with
     phi(z) = (z - i)/(z + i).  The arctan is the principal branch; its
@@ -174,40 +145,47 @@ def to_disk_model(amb: AmbientSpace, p: HalfSpacePoint) -> CylinderPoint:
     vertical correction is forced: pulling the disk fiber potential
     lam (y dx - x dy) back through phi gives -dx/y plus twice the
     differential of arctan(x/(y+1)), so only this sign makes the map an
-    isometry for the two metrics above.
+    isometry for the two metrics above.  The map is partial at the margins:
+    a row whose image falls within BOUNDARY_MARGIN of the unit circle
+    raises DomainError naming that row.
     """
-    w = _phi(p.z)
-    t = p.t - 4.0 * amb.tau * math.atan2(p.x, p.y + 1.0)
-    return CylinderPoint(w.real, w.imag, t)
+    v = _halfspace_rows(vertices)
+    z = v[:, 0] + 1j * v[:, 1]
+    w = (z - 1j) / (z + 1j)
+    t = v[:, 2] - 4.0 * amb.tau * np.arctan2(v[:, 0], v[:, 1] + 1.0)
+    out = np.stack([w.real, w.imag, t], axis=1)
+    _refuse(v, _in_disk(out), "maps into the margin of the unit circle")
+    return out
 
 
-def to_halfspace_model(amb: AmbientSpace, p: CylinderPoint) -> HalfSpacePoint:
-    """Inverse change of model: cylinder -> half-space."""
-    w = p.z
+def to_halfspace_model(amb: AmbientSpace, vertices) -> np.ndarray:
+    """Inverse change of model: cylinder rows -> half-space rows, shape (n, 3).
+
+    Partial at the margins: a row whose image has y <= BOUNDARY_MARGIN
+    raises DomainError naming that row.
+    """
+    v = _cylinder_rows(vertices)
+    w = v[:, 0] + 1j * v[:, 1]
     z = 1j * (1.0 + w) / (1.0 - w)
-    if z.imag <= 0:
-        raise DomainError("image point left the half-space (numerical underflow near the boundary)")
-    t = p.t + 4.0 * amb.tau * math.atan2(z.real, z.imag + 1.0)
-    return HalfSpacePoint(z.real, z.imag, t)
+    t = v[:, 2] + 4.0 * amb.tau * np.arctan2(z.real, z.imag + 1.0)
+    out = np.stack([z.real, z.imag, t], axis=1)
+    _refuse(v, _in_halfspace(out), "maps into the margin of the plane y = 0")
+    return out
 
 
-def to_disk_jacobian(amb: AmbientSpace, p: HalfSpacePoint) -> np.ndarray:
-    """Analytic Jacobian of to_disk_model at p (rows: dx', dy', dt')."""
-    dphi = 2j / (p.z + 1j) ** 2
-    den = (p.y + 1.0) ** 2 + p.x * p.x
-    dt_dx = -4.0 * amb.tau * (p.y + 1.0) / den
-    dt_dy = 4.0 * amb.tau * p.x / den
-    return np.array(
-        [
-            [dphi.real, -dphi.imag, 0.0],
-            [dphi.imag, dphi.real, 0.0],
-            [dt_dx, dt_dy, 1.0],
-        ]
-    )
+def to_disk_jacobian(amb: AmbientSpace, vertices) -> np.ndarray:
+    """Analytic Jacobians of to_disk_model, shape (n, 3, 3) (rows: dx', dy', dt')."""
+    v = _halfspace_rows(vertices)
+    x, y = v[:, 0], v[:, 1]
+    dphi = 2j / (x + 1j * y + 1j) ** 2
+    k = 4.0 * amb.tau / ((y + 1.0) ** 2 + x * x)
+    zero, one = np.zeros_like(x), np.ones_like(x)
+    jac = [dphi.real, -dphi.imag, zero, dphi.imag, dphi.real, zero, -k * (y + 1.0), k * x, one]
+    return np.stack(jac, axis=-1).reshape(-1, 3, 3)
 
 
 def pullback_metric(g_image, jacobian: np.ndarray) -> np.ndarray:
-    """J^T G J for one 3x3 array G and J, or for stacks of shape (..., 3, 3)."""
+    """J^T G J for 3x3 arrays G and J or stacks of them; a (..., 3, 2) J gives a Gram matrix."""
     j = np.asarray(jacobian, dtype=float)
     return np.swapaxes(j, -1, -2) @ np.asarray(g_image, dtype=float) @ j
 
@@ -228,10 +206,11 @@ def patch_area(
 ) -> PatchAreaResult:
     """Area of a parametrized surface patch by the Gram determinant.
 
-    `immersion(u, w)` must return a CylinderPoint for (u, w) in the closed
-    parameter rectangle.  Cells are integrated by the midpoint rule with
-    central-difference partials.  Samples where the differential drops rank
-    are skipped and counted in `degenerate_samples`.
+    `immersion(u, w)` takes two float arrays of one shape and returns the
+    cylinder-model points (x, y, t) as an array of that shape plus (3,),
+    for (u, w) in the closed parameter rectangle.  Cells are integrated by
+    the midpoint rule with central-difference partials.  Samples where the
+    differential drops rank are skipped and counted in `degenerate_samples`.
     """
     if n_u < 1 or n_w < 1:
         raise UsageError("patch_area needs at least one cell per direction")
@@ -244,27 +223,19 @@ def patch_area(
     # finite-difference step: small relative to a cell so samples stay inside
     hu = 0.25 * du
     hw = 0.25 * dw
-
-    total = 0.0
-    degenerate = 0
-    for i in range(n_u):
-        u = u0 + (i + 0.5) * du
-        for j in range(n_w):
-            w = w0 + (j + 0.5) * dw
-            p = immersion(u, w)
-            pu1 = immersion(u + hu, w).as_array()
-            pu0 = immersion(u - hu, w).as_array()
-            pw1 = immersion(u, w + hw).as_array()
-            pw0 = immersion(u, w - hw).as_array()
-            fu = (pu1 - pu0) / (2.0 * hu)
-            fw = (pw1 - pw0) / (2.0 * hw)
-            g = cylinder_metric_matrices(amb.tau, p.x, p.y)
-            e = fu @ g @ fu
-            f = fu @ g @ fw
-            gg = fw @ g @ fw
-            det = e * gg - f * f
-            if det <= 1e-14 * max(1.0, e * gg):
-                degenerate += 1
-                continue
-            total += math.sqrt(det) * du * dw
-    return PatchAreaResult(total, degenerate)
+    u, w = np.meshgrid(
+        u0 + (np.arange(n_u) + 0.5) * du, w0 + (np.arange(n_w) + 0.5) * dw, indexing="ij"
+    )
+    probes = [(u, w), (u + hu, w), (u - hu, w), (u, w + hw), (u, w - hw)]
+    pts = [np.asarray(immersion(a, b), dtype=float) for a, b in probes]
+    if any(q.shape != u.shape + (3,) for q in pts):
+        raise UsageError("immersion(u, w) must return an array of shape u.shape + (3,)")
+    p, pu1, pu0, pw1, pw0 = _cylinder_rows(np.reshape(pts, (-1, 3))).reshape(5, -1, 3)
+    fu = (pu1 - pu0) / (2.0 * hu)
+    fw = (pw1 - pw0) / (2.0 * hw)
+    gram = pullback_metric(metric_cylinder(amb, p), np.stack([fu, fw], axis=-1))
+    e, f, gg = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+    det = e * gg - f * f
+    degenerate = det <= 1e-14 * np.maximum(1.0, e * gg)
+    total = np.sqrt(det[~degenerate]).sum() * du * dw
+    return PatchAreaResult(float(total), int(np.count_nonzero(degenerate)))

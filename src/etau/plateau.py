@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .catenoid import (
     TruncatedCatenoid,
     annulus_vertex_grid,
     connected_boundary_for_height,
-    disk_area_closed_form,
 )
 from .errors import DomainError, UsageError
 from .models import AmbientSpace
@@ -536,8 +535,8 @@ def hyperbolic_ring_fractions(R: float, n_r: int) -> np.ndarray:
     """
     if n_r < 1:
         raise UsageError("need at least one ring")
-    if not (R > 0.0):
-        raise DomainError(f"hyperbolic radius must be positive, got {R!r}")
+    if not (0.0 < R < math.inf):
+        raise DomainError(f"hyperbolic radius must be positive and finite, got {R!r}")
     s = np.arange(1, n_r + 1) * (R / n_r)
     return np.tanh(0.5 * s) / math.tanh(0.5 * R)
 
@@ -562,6 +561,8 @@ def mesh_disk(boundary, n_r: int, ring_fractions: np.ndarray | None = None) -> T
         fractions = np.asarray(ring_fractions, dtype=np.float64)
         if fractions.shape != (n_r,) or not (np.diff(fractions) > 0).all():
             raise UsageError("ring_fractions must be strictly increasing with n_r entries")
+        if not fractions[0] > 0.0:
+            raise UsageError(f"the first ring fraction must be positive, got {fractions[0]!r}")
         if abs(fractions[-1] - 1.0) > 1e-12:
             raise UsageError("the last ring fraction must be 1 (the boundary loop)")
     return _shared_topology(_disk_triangles, len(loop), n_r)._with_vertices(

@@ -56,12 +56,13 @@ variable ``t``, cut off by ``integrate_to_infinity`` where a tail bound
 falls below half the absolute tolerance; ``catenoid.asymptotic_height``
 replaced it with a proper integral in ``gd(t)`` and must agree within
 both quadrature tolerances.  ``reference_apply_lift`` and
-``reference_lift_jacobian`` are the one-point lift and its Jacobian that
-the array forms ``isometries.apply_lift_array`` and
-``lift_jacobian_array`` replaced, and ``reference_metric_cylinder`` is
-the 3x3 cylinder metric assembled from scalar components, as
-``models.metric_cylinder`` did before it read
-``models.cylinder_metric_matrices``; the matrices must agree bit for bit.
+``reference_lift_jacobian`` are the lift and its Jacobian at one row
+``(x, y, t)`` in per-point complex arithmetic, which the array forms
+``isometries.apply_lift_array`` and ``lift_jacobian_array`` replaced,
+and ``reference_metric_cylinder`` is the 3x3 cylinder metric assembled
+from scalar components, as ``models.metric_cylinder`` did before it
+built stacks of metrics from ``fiber_form`` arrays; the matrices must
+agree bit for bit.
 ``reference_sampled_sup_shift`` builds its points through
 ``reference_sup_shift_samples``, as a complex exponential of the random
 angles and with the boundary rings rebuilt on every call;
@@ -100,7 +101,7 @@ from etau.catenoid import (
 )
 from etau.errors import DomainError
 from etau.isometries import POSITIVE, arg_fprime, mobius_apply, mobius_derivative, t_shift
-from etau.models import CylinderPoint, fiber_form
+from etau.models import fiber_form
 from etau.numerics import QuadratureResult, ToleranceConfig, integrate
 
 
@@ -773,22 +774,23 @@ def reference_asymptotic_height(tau: float, d: float, tol=None) -> QuadratureRes
     return integrate_to_infinity(f, 0.0, tail, tol)
 
 
-def reference_apply_lift(lift, p: CylinderPoint) -> CylinderPoint:
-    """Apply the lifted isometry to one cylinder-model point."""
-    z = p.z
+def reference_apply_lift(lift, row) -> np.ndarray:
+    """Apply the lifted isometry to one cylinder-model row (x, y, t)."""
+    x, y, t = (float(c) for c in row)
+    z = complex(x, y)
     w = mobius_apply(lift.f, z)
     a = arg_fprime(lift.f, z, lift.sector)
     if lift.orientation == POSITIVE:
-        t = p.t - 2.0 * lift.tau * a + lift.c
+        t = t - 2.0 * lift.tau * a + lift.c
     else:
         w = w.conjugate()
-        t = -p.t + 2.0 * lift.tau * a + lift.c
-    return CylinderPoint(w.real, w.imag, t)
+        t = -t + 2.0 * lift.tau * a + lift.c
+    return np.array([w.real, w.imag, t])
 
 
-def reference_lift_jacobian(lift, p: CylinderPoint) -> np.ndarray:
-    """Analytic Jacobian of ``reference_apply_lift`` at p."""
-    z = p.z
+def reference_lift_jacobian(lift, row) -> np.ndarray:
+    """Analytic Jacobian of ``reference_apply_lift`` at one row (x, y, t)."""
+    z = complex(float(row[0]), float(row[1]))
     fp = complex(mobius_derivative(lift.f, z))
     den = lift.f.w2 * z - lift.f.w1.conjugate()
     q = -2.0 * lift.f.w2 / den

@@ -5,7 +5,7 @@ import pytest
 
 from etau import catenoid as cat
 from etau.errors import DomainError, QuadratureError
-from etau.models import AmbientSpace, CylinderPoint, patch_area
+from etau.models import AmbientSpace, patch_area
 from etau.numerics import ToleranceConfig, integrate
 from reference_checks import (
     reference_asymptotic_height,
@@ -360,11 +360,11 @@ def test_annulus_area_agrees_with_metric_patch_area():
     amb = AmbientSpace(tau)
     p = cat.CatenoidProfile(amb, d)
 
+    height = np.vectorize(lambda s: cat.profile_height(p, s))
+
     def immersion(s, theta):
-        r = math.tanh(0.5 * s)
-        return CylinderPoint(
-            r * math.cos(theta), r * math.sin(theta), cat.profile_height(p, s)
-        )
+        r = np.tanh(0.5 * s)
+        return np.stack([r * np.cos(theta), r * np.sin(theta), height(s)], axis=-1)
 
     res = patch_area(amb, immersion, (p.neck + 1e-4, R), (0.0, 2.0 * math.pi), n_u=80, n_w=48)
     half = 0.5 * cat.annulus_area(cat.TruncatedCatenoid(p, R))

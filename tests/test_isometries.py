@@ -11,7 +11,6 @@ from etau.isometries import (
     POSITIVE,
     LiftedIsometry,
     MobiusIsometry,
-    apply_lift,
     apply_lift_array,
     arg_fprime,
     bounded_lift,
@@ -19,7 +18,6 @@ from etau.isometries import (
     disk_rotation,
     hyperbolic_mobius,
     hyperbolic_translation,
-    lift_jacobian,
     lift_jacobian_array,
     make_lift,
     mobius_apply,
@@ -34,8 +32,6 @@ from etau.isometries import (
 from etau.models import (
     BOUNDARY_MARGIN,
     AmbientSpace,
-    CylinderPoint,
-    cylinder_metric_matrices,
     metric_cylinder,
     pullback_metric,
 )
@@ -151,13 +147,14 @@ def test_arg_fprime_continuous_along_boundary_hugging_loop():
 
 def test_vertical_translation_and_rotation_lift():
     amb = AmbientSpace(0.7)
-    p = CylinderPoint(0.3, -0.2, 0.5)
-    q = apply_lift(vertical_translation(amb, 1.25), p)
-    assert (q.x, q.y) == (p.x, p.y) and abs(q.t - p.t - 1.25) < 1e-14
-    q = apply_lift(rotation_lift(amb, 1.0), p)
-    w = p.z * cmath.exp(1j)
-    assert abs(q.z - w) < 1e-14
-    assert abs(q.t - p.t) < 1e-14
+    p = np.array([[0.3, -0.2, 0.5]])
+    q = apply_lift_array(vertical_translation(amb, 1.25), p)
+    assert q.shape == (1, 3)
+    assert q[0, :2].tolist() == p[0, :2].tolist() and abs(q[0, 2] - p[0, 2] - 1.25) < 1e-14
+    q = apply_lift_array(rotation_lift(amb, 1.0), p)
+    w = complex(0.3, -0.2) * cmath.exp(1j)
+    assert abs(complex(q[0, 0], q[0, 1]) - w) < 1e-14
+    assert abs(q[0, 2] - p[0, 2]) < 1e-14
 
 
 def test_t_shift_requires_positive_lift():
@@ -192,14 +189,10 @@ def test_lift_jacobian_matches_finite_differences():
         for _ in range(5):
             m = random_isometry(rng)
             lift = make_lift(amb, m, 0.3, orientation)
-            p = CylinderPoint(0.2, -0.4, 0.7)
-
-            def fn(arr):
-                q = apply_lift(lift, CylinderPoint(arr[0], arr[1], arr[2]))
-                return q.as_array()
-
-            j = lift_jacobian(lift, p)
-            assert np.allclose(j, fd_jacobian(fn, p.as_array()), atol=1e-6)
+            p = np.array([0.2, -0.4, 0.7])
+            j = lift_jacobian_array(lift, p[None])[0]
+            fd = fd_jacobian(lambda arr: apply_lift_array(lift, arr[None])[0], p)
+            assert np.allclose(j, fd, atol=1e-6)
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
@@ -210,9 +203,9 @@ def test_lift_pullback_is_isometry(tau, orientation):
     for _ in range(10):
         lift = make_lift(amb, random_isometry(rng), rng.normal(), orientation)
         z = 0.9 * math.sqrt(rng.uniform(0, 1)) * cmath.exp(1j * rng.uniform(0, TWO_PI))
-        p = CylinderPoint(z.real, z.imag, rng.normal())
-        q = apply_lift(lift, p)
-        j = lift_jacobian(lift, p)
+        p = np.array([[z.real, z.imag, rng.normal()]])
+        q = apply_lift_array(lift, p)
+        j = lift_jacobian_array(lift, p)
         pulled = pullback_metric(metric_cylinder(amb, q), j)
         assert np.allclose(pulled, metric_cylinder(amb, p), atol=1e-7)
 
@@ -228,21 +221,13 @@ def test_array_lift_matches_scalar_reference(orientation):
         lift = make_lift(AmbientSpace(tau), m, c, orientation)
         images = apply_lift_array(lift, v)
         jacobians = lift_jacobian_array(lift, v)
-        pulled = pullback_metric(
-            cylinder_metric_matrices(tau, images[:, 0], images[:, 1]), jacobians
-        )
-        points = [CylinderPoint(*row) for row in v.tolist()]
-        qs = [reference_apply_lift(lift, p) for p in points]
-        js = [reference_lift_jacobian(lift, p) for p in points]
-        gs = [j.T @ reference_metric_cylinder(tau, q.x, q.y) @ j for q, j in zip(qs, js)]
-        ref_images = np.array([(q.x, q.y, q.t) for q in qs])
-        worst_image = max(worst_image, np.abs(images - ref_images).max())
+        pulled = pullback_metric(metric_cylinder(AmbientSpace(tau), images), jacobians)
+        qs = [reference_apply_lift(lift, p) for p in v]
+        js = [reference_lift_jacobian(lift, p) for p in v]
+        gs = [j.T @ reference_metric_cylinder(tau, q[0], q[1]) @ j for q, j in zip(qs, js)]
+        worst_image = max(worst_image, np.abs(images - np.array(qs)).max())
         worst_jacobian = max(worst_jacobian, np.abs(jacobians - np.array(js)).max())
         worst_pullback = max(worst_pullback, np.abs(pulled - np.array(gs)).max())
-        # the one-point forms are the array rows, bit for bit
-        p = points[0]
-        assert apply_lift(lift, p).as_array().tolist() == images[0].tolist()
-        assert np.array_equal(lift_jacobian(lift, p), jacobians[0])
     assert worst_image < 5e-14
     assert worst_jacobian < 1e-13
     assert worst_pullback < 2e-10
@@ -254,21 +239,17 @@ def test_scalar_metric_and_pullback_keep_their_bits():
         amb = AmbientSpace(tau)
         for _ in range(50):
             z = 0.99 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0.0, TWO_PI))
-            p = CylinderPoint(z.real, z.imag, rng.normal())
-            g = reference_metric_cylinder(tau, p.x, p.y)
-            assert np.array_equal(metric_cylinder(amb, p), g)
-            assert np.array_equal(cylinder_metric_matrices(tau, [p.x], [p.y])[0], g)
+            p = np.array([[z.real, z.imag, rng.normal()]])
+            g = reference_metric_cylinder(tau, z.real, z.imag)
+            assert np.array_equal(metric_cylinder(amb, p)[0], g)
             j = rng.normal(size=(3, 3))
-            assert np.array_equal(pullback_metric(metric_cylinder(amb, p), j), j.T @ g @ j)
+            assert np.array_equal(pullback_metric(metric_cylinder(amb, p)[0], j), j.T @ g @ j)
 
 
 @pytest.mark.parametrize("orientation", [POSITIVE, NEGATIVE])
 def test_array_lift_names_the_bad_row(orientation):
     lift = make_lift(AmbientSpace(0.5), hyperbolic_mobius(0.7), 0.2, orientation)
-    # inside the unit circle but within the margin, which CylinderPoint refuses too
-    edge = 1.0 - 0.25 * BOUNDARY_MARGIN
-    with pytest.raises(DomainError):
-        CylinderPoint(edge, 0.0, 0.0)
+    edge = 1.0 - 0.25 * BOUNDARY_MARGIN  # inside the unit circle but within the margin
     for bad in ([edge, 0.0, 0.0], [0.1, 0.2, math.inf], [math.nan, 0.0, 0.0]):
         v = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0], bad])
         for core in (apply_lift_array, lift_jacobian_array):

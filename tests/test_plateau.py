@@ -875,9 +875,15 @@ def test_hyperbolic_ring_fractions():
     assert f[4] == pytest.approx(math.tanh(0.5 * 1.5) / math.tanh(1.5))
     with pytest.raises(UsageError):
         plateau.hyperbolic_ring_fractions(R, 0)
-    with pytest.raises(DomainError):
-        plateau.hyperbolic_ring_fractions(0.0, 4)
+    for bad_R in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="positive and finite"):
+            plateau.hyperbolic_ring_fractions(bad_R, 4)
     loop = plateau.circle_loop(0.6, 0.0, 12)
+    # a first fraction <= 0 puts ring 1 on the centroid or folds it through
+    for fractions in ([-1.0, 1.0], [0.0, 1.0], [-0.5, 0.5, 1.0]):
+        with pytest.raises(UsageError, match="first ring fraction must be positive"):
+            plateau.mesh_disk(loop, len(fractions), np.array(fractions))
+    assert plateau.mesh_disk(loop, 2, np.array([1e-3, 1.0])).vertices.shape == (25, 3)
     with pytest.raises(UsageError):
         plateau.mesh_disk(loop, 4, np.array([0.5, 0.25, 0.75, 1.0]))
     with pytest.raises(UsageError):
